@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "common/bench_util.h"
-#include "sim/reference_scheduler.h"
 #include "sim/simulator.h"
+#include "support/reference_scheduler.h"
 
 using namespace lumina;
 using namespace lumina::bench;

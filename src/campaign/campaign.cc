@@ -46,7 +46,7 @@ std::string format_summary(const char* format, ...) {
 }
 
 CampaignRunOutcome execute_run(const CampaignRunSpec& spec,
-                               std::uint64_t seed, int shards) {
+                               std::uint64_t seed) {
   CampaignRunOutcome out;
   out.name = spec.name;
   out.kind = spec.kind;
@@ -57,11 +57,10 @@ CampaignRunOutcome execute_run(const CampaignRunSpec& spec,
     case CampaignRunKind::kExperiment: {
       Orchestrator::Options options;
       options.seed = seed;
-      options.shards = shards;
       Orchestrator orch(spec.config, options);
       const TestResult& result = orch.run();
       out.metrics.sim_duration = result.duration;
-      out.metrics.sim_events = orch.events_processed();
+      out.metrics.sim_events = orch.sim().events_processed();
       out.ok = result.integrity.ok() && result.finished;
       std::size_t completed = 0;
       for (const auto& flow : result.flows) completed += flow.completed();
@@ -126,8 +125,7 @@ CampaignReport run_campaign(const Campaign& campaign,
   report.jobs = options.jobs;
   report.runs = parallel_map<CampaignRunOutcome>(
       campaign.runs.size(), options.jobs, [&](std::size_t i) {
-        return execute_run(campaign.runs[i],
-                           derive_run_seed(options.seed, i), options.shards);
+        return execute_run(campaign.runs[i], derive_run_seed(options.seed, i));
       });
   report.wall_ms = elapsed_ms(started);
   return report;

@@ -32,12 +32,6 @@ namespace lumina {
 struct CampaignOptions {
   int jobs = 1;                     ///< Worker threads (<=1 = sequential).
   std::uint64_t seed = 0xC0FFEEULL; ///< Campaign master seed.
-  /// Event-kernel shards forwarded to every experiment run's
-  /// Orchestrator::Options (docs/simulator.md, "Sharded execution").
-  /// Orthogonal to `jobs`: jobs parallelizes *across* runs, shards
-  /// parallelizes the event kernel *within* one run. Artifacts are
-  /// contractually identical for every accepted value of either.
-  int shards = 1;
 };
 
 /// Wall-clock + simulated-time cost of one run. Wall time is inherently

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <set>
 
 namespace lumina {
@@ -13,6 +14,27 @@ EventType parse_event_type_or_throw(const std::string& text) {
   if (!parsed) throw YamlError("unknown event type: " + text);
   return *parsed;
 }
+
+/// Checks a traffic count or size against [1, max]. Zero or negative
+/// values would otherwise wrap through the unsigned casts, divide by zero
+/// in the packetizer, or run an empty experiment that still exits 0.
+std::int64_t positive_traffic_field(std::int64_t value, const char* field,
+                                    std::int64_t max) {
+  const std::string name = std::string("traffic.") + field;
+  if (value < 1) {
+    throw YamlError(name + " must be >= 1, got " + std::to_string(value));
+  }
+  if (value > max) {
+    throw YamlError(name + " must be <= " + std::to_string(max) + ", got " +
+                    std::to_string(value));
+  }
+  return value;
+}
+
+constexpr std::int64_t kMaxMsgsPerQp = std::numeric_limits<int>::max();
+constexpr std::int64_t kMaxMtu = std::numeric_limits<std::uint32_t>::max();
+constexpr std::int64_t kMaxMessageSize =
+    std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -189,10 +211,14 @@ TrafficConfig load_traffic_config(const YamlNode& node) {
     if (!parsed) throw YamlError("unknown rdma verb: " + verb);
     cfg.verb = *parsed;
   }
-  cfg.num_msgs_per_qp = static_cast<int>(node["num-msgs-per-qp"].as_int_or(1));
-  cfg.mtu = static_cast<std::uint32_t>(node["mtu"].as_int_or(1024));
-  cfg.message_size =
-      static_cast<std::uint64_t>(node["message-size"].as_int_or(10240));
+  cfg.num_msgs_per_qp = static_cast<int>(
+      positive_traffic_field(node["num-msgs-per-qp"].as_int_or(1),
+                             "num-msgs-per-qp", kMaxMsgsPerQp));
+  cfg.mtu = static_cast<std::uint32_t>(
+      positive_traffic_field(node["mtu"].as_int_or(1024), "mtu", kMaxMtu));
+  cfg.message_size = static_cast<std::uint64_t>(
+      positive_traffic_field(node["message-size"].as_int_or(10240),
+                             "message-size", kMaxMessageSize));
   cfg.multi_gid = node["multi-gid"].as_bool_or(false);
   cfg.barrier_sync = node["barrier-sync"].as_bool_or(false);
   cfg.tx_depth = static_cast<int>(node["tx-depth"].as_int_or(1));
@@ -294,14 +320,11 @@ TestConfig load_test_config(const YamlNode& root) {
     cfg.traffic.num_connections = static_cast<int>(cfg.connections.size());
   }
   if (root.has("shards")) {
-    const YamlNode& shards = root["shards"];
-    if (shards.as_string_or("") == "auto") {
-      cfg.shards = 0;
-    } else {
-      const std::int64_t value = shards.as_int();
-      if (value < 1) throw YamlError("shards must be >= 1 or 'auto'");
-      cfg.shards = static_cast<int>(value);
-    }
+    // Unknown keys are otherwise ignored, so a config written for the
+    // removed sharded kernel would silently run a different schedule.
+    throw YamlError(
+        "shards: no longer supported; every run uses the sequential event "
+        "kernel (run independent experiments in parallel with --jobs)");
   }
   return cfg;
 }
@@ -416,13 +439,6 @@ std::string serialize_test_config(const TestConfig& cfg) {
              ", dst: " + std::to_string(conn.dst_host) + "}\n";
     }
   }
-  // The default (1, sequential kernel) is omitted so pre-cutover configs
-  // serialize byte-identically; 0 round-trips as the `auto` sentinel.
-  if (cfg.shards == 0) {
-    out += "shards: auto\n";
-  } else if (cfg.shards != 1) {
-    out += "shards: " + std::to_string(cfg.shards) + "\n";
-  }
   const TrafficConfig& t = cfg.traffic;
   out += "traffic:\n";
   if (cfg.connections.empty()) {
@@ -460,11 +476,14 @@ void apply_traffic_override(TestConfig& cfg, const std::string& key,
     }
     t.num_connections = static_cast<int>(value.as_int());
   } else if (key == "num-msgs-per-qp") {
-    t.num_msgs_per_qp = static_cast<int>(value.as_int());
+    t.num_msgs_per_qp = static_cast<int>(positive_traffic_field(
+        value.as_int(), "num-msgs-per-qp", kMaxMsgsPerQp));
   } else if (key == "message-size") {
-    t.message_size = static_cast<std::uint64_t>(value.as_int());
+    t.message_size = static_cast<std::uint64_t>(positive_traffic_field(
+        value.as_int(), "message-size", kMaxMessageSize));
   } else if (key == "mtu") {
-    t.mtu = static_cast<std::uint32_t>(value.as_int());
+    t.mtu = static_cast<std::uint32_t>(
+        positive_traffic_field(value.as_int(), "mtu", kMaxMtu));
   } else if (key == "tx-depth") {
     t.tx_depth = static_cast<int>(value.as_int());
   } else if (key == "min-retransmit-timeout") {

@@ -72,12 +72,6 @@ class Orchestrator {
     /// Event-trace ring capacity; the oldest events are overwritten (and
     /// counted as sim.trace_dropped) once the ring is full.
     std::size_t trace_capacity = telemetry::TraceSink::kDefaultCapacity;
-    /// Event-kernel shards (docs/simulator.md, "Sharded execution"):
-    /// validated against the topology's domain count and recorded in the
-    /// report as the deterministic ShardPlan. Results are contractually
-    /// identical for every accepted value. 0 = auto: the testbed resolves
-    /// min(hardware_threads, num_domains) at construction.
-    int shards = 1;
   };
 
   explicit Orchestrator(TestConfig config);
@@ -91,11 +85,7 @@ class Orchestrator {
 
   // Component access for targeted tests and ablation benches.
   Testbed& testbed() { return *testbed_; }
-  /// Sequential kernel access; throws when the run is sharded (use the
-  /// kernel-neutral accessors below, or testbed()'s facade, instead).
   Simulator& sim() { return testbed_->sim(); }
-  /// Kernel-neutral counters, valid for either kernel.
-  std::uint64_t events_processed() { return testbed_->events_processed(); }
   EventInjectorSwitch& injector() { return testbed_->injector(); }
   int num_hosts() { return testbed_->num_hosts(); }
   Rnic& nic(int host) { return testbed_->nic(host); }

@@ -16,9 +16,10 @@
 //     schedule_timer_at/after; the run loop merges the wheel's due stream
 //     with the calendar queue in strict (when, id) order, so the two
 //     stores are observationally one queue.
-// The retired binary-heap implementation survives as ReferenceScheduler
-// (sim/reference_scheduler.h); the differential test drives both through
-// randomized workloads asserting identical observable behavior.
+// The retired binary-heap implementation survives as the test-only
+// ReferenceScheduler (tests/support/reference_scheduler.h); the
+// differential test drives both through randomized workloads asserting
+// identical observable behavior.
 //
 // One Simulator serves one run on one thread. Instances share no mutable
 // state, so a campaign (campaign/parallel.h) may run many of them on
@@ -86,18 +87,6 @@ class Simulator {
   /// Runs until simulated time would exceed `deadline`. Events at exactly
   /// `deadline` still fire.
   void run_until(Tick deadline);
-
-  /// Reports the next pending event's fire time without firing it.
-  /// Tombstoned calendar heads are dropped along the way, exactly as the
-  /// run loop would. Returns false when both stores are drained.
-  bool peek_next(Tick& next_when);
-
-  /// Fires every event with `when` strictly below `horizon` and leaves the
-  /// clock at the last fired event — no fill to `horizon`. This is the
-  /// window primitive of the sharded kernel (sim/sharded_sim.h), which
-  /// owns the global clock and window bookkeeping; single-kernel callers
-  /// want run()/run_until().
-  void run_before(Tick horizon);
 
   /// Stops the run loop after the current callback returns.
   void stop() { stopped_ = true; }

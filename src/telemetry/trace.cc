@@ -1,9 +1,6 @@
 #include "telemetry/trace.h"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "util/exec_domain.h"
 
 namespace lumina::telemetry {
 namespace {
@@ -44,66 +41,17 @@ TraceSink::TraceSink(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       ring_(capacity == 0 ? 1 : capacity) {}
 
-void TraceSink::enable_domain_lanes(int num_domains) {
-  lanes_.assign(static_cast<std::size_t>(num_domains < 1 ? 1 : num_domains),
-                Lane{});
-  ring_.clear();
-  ring_.shrink_to_fit();  // the shared ring is dead in lanes mode
-  total_ = 0;
-}
-
 void TraceSink::record(const TraceEvent& ev) {
-  if (lanes_.empty()) {
-    ring_[static_cast<std::size_t>(total_ % capacity_)] = ev;
-    ++total_;
-    return;
-  }
-  const int d = exec_domain::current();
-  Lane& lane =
-      lanes_[d > 0 && static_cast<std::size_t>(d) < lanes_.size()
-                 ? static_cast<std::size_t>(d)
-                 : 0];
-  if (lane.events.size() < capacity_) {
-    lane.events.push_back(ev);
-  } else {
-    lane.events[static_cast<std::size_t>(lane.total % capacity_)] = ev;
-  }
-  ++lane.total;
-}
-
-std::uint64_t TraceSink::recorded() const {
-  if (lanes_.empty()) return total_;
-  std::uint64_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.total;
-  return n;
+  ring_[static_cast<std::size_t>(total_ % capacity_)] = ev;
+  ++total_;
 }
 
 std::vector<TraceEvent> TraceSink::events_in_order() const {
   std::vector<TraceEvent> out;
-  if (lanes_.empty()) {
-    out.reserve(size());
-    const std::uint64_t first = total_ > capacity_ ? total_ - capacity_ : 0;
-    for (std::uint64_t i = first; i < total_; ++i) {
-      out.push_back(ring_[static_cast<std::size_t>(i % capacity_)]);
-    }
-    return out;
-  }
-  // Concatenate each lane oldest-first (in domain order), then stable-sort
-  // on timestamp: per-lane order survives, ties order by domain.
-  for (const Lane& lane : lanes_) {
-    const std::uint64_t kept = std::min<std::uint64_t>(lane.total, capacity_);
-    const std::uint64_t first = lane.total - kept;
-    for (std::uint64_t i = first; i < lane.total; ++i) {
-      out.push_back(lane.events[static_cast<std::size_t>(i % capacity_)]);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts < b.ts;
-                   });
-  if (out.size() > capacity_) {
-    out.erase(out.begin(),
-              out.end() - static_cast<std::ptrdiff_t>(capacity_));
+  out.reserve(size());
+  const std::uint64_t first = total_ > capacity_ ? total_ - capacity_ : 0;
+  for (std::uint64_t i = first; i < total_; ++i) {
+    out.push_back(ring_[static_cast<std::size_t>(i % capacity_)]);
   }
   return out;
 }

@@ -6,13 +6,6 @@
 // counted as dropped, so tracing never grows memory unboundedly on a long
 // run.
 //
-// Under the sharded event kernel lanes execute on a thread pool, so the
-// testbed switches the sink into *domain-lanes* mode
-// (enable_domain_lanes): each event domain records into its own private
-// buffer, routed by the executing lane's exec_domain tag. Lanes never
-// share a cache line of bookkeeping, so the hot path stays unsynchronized;
-// events_in_order() merges lanes by timestamp on the (cold) export path.
-//
 // Event names and categories must be string literals (or otherwise outlive
 // the sink): events store the pointers, not copies, which keeps the record
 // hot path allocation-free.
@@ -60,17 +53,8 @@ class TraceSink {
 
   void record(const TraceEvent& ev);
 
-  /// Switches to domain-lanes mode: one private buffer per event domain,
-  /// record() routed by exec_domain::current() (events recorded outside
-  /// any lane — top-level setup, scrape — land on lane 0). The capacity
-  /// bound stays global: dropped() still reports against the configured
-  /// capacity, and events_in_order() keeps only the newest `capacity()`
-  /// events after the merge. Call once, before any event is recorded.
-  void enable_domain_lanes(int num_domains);
-  bool domain_lanes() const { return !lanes_.empty(); }
-
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t recorded() const;
+  std::uint64_t recorded() const { return total_; }
   std::uint64_t dropped() const {
     const std::uint64_t n = recorded();
     return n > capacity_ ? n - capacity_ : 0;
@@ -80,10 +64,7 @@ class TraceSink {
     return n < capacity_ ? static_cast<std::size_t>(n) : capacity_;
   }
 
-  /// Retained events, oldest first. In domain-lanes mode the lanes are
-  /// merged with a stable sort on timestamp — per-lane order is preserved
-  /// and equal-timestamp events order by domain id — so the export is a
-  /// pure function of event content, not thread placement.
+  /// Retained events, oldest first.
   std::vector<TraceEvent> events_in_order() const;
 
   /// Names a virtual track: emitted as thread_name metadata so viewers
@@ -99,18 +80,9 @@ class TraceSink {
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
  private:
-  /// One domain's private buffer: appends until the global capacity, then
-  /// wraps (a lane keeps at most `capacity_` events; the merge trims the
-  /// union to the same bound).
-  struct Lane {
-    std::vector<TraceEvent> events;
-    std::uint64_t total = 0;
-  };
-
   std::size_t capacity_ = kDefaultCapacity;
   std::vector<TraceEvent> ring_;
   std::uint64_t total_ = 0;
-  std::vector<Lane> lanes_;  // non-empty => domain-lanes mode
   std::vector<std::pair<std::uint32_t, std::string>> track_names_;
 };
 

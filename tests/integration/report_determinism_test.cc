@@ -4,12 +4,18 @@
 // bench gate compare a fresh report against a checked-in baseline
 // generated on a different machine.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "campaign/campaign.h"
 #include "campaign/campaign_config.h"
 #include "orchestrator/orchestrator.h"
+#include "orchestrator/results_io.h"
 #include "telemetry/report.h"
 #include "telemetry/report_diff.h"
 
@@ -128,23 +134,59 @@ TEST(ReportDeterminism, StructuredDiffAtToleranceZeroAcrossJobCounts) {
   EXPECT_GT(diff.compared, 50u);
 }
 
-TEST(ReportDeterminism, RepeatedRunsProduceIdenticalSnapshots) {
-  TestConfig cfg;
-  cfg.traffic.num_connections = 2;
-  cfg.traffic.num_msgs_per_qp = 4;
-  cfg.traffic.message_size = 10240;
-  cfg.traffic.mtu = 1024;
-  cfg.traffic.data_pkt_events.push_back(
-      DataPacketEvent{1, 3, EventType::kDrop, 1});
+/// Every file write_results() leaves for `result`, keyed by file name.
+std::map<std::string, std::string> artifact_bytes(const TestResult& result,
+                                                  const std::string& tag) {
+  namespace fs = std::filesystem;
+  const std::string pid = std::to_string(::getpid());
+  const fs::path dir = fs::temp_directory_path() / ("lumina_" + tag + pid);
+  fs::remove_all(dir);
+  std::string failed;
+  EXPECT_TRUE(write_results(result, dir.string(), &failed)) << failed;
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ostringstream bytes;
+    bytes << std::ifstream(entry.path(), std::ios::binary).rdbuf();
+    files[entry.path().filename().string()] = bytes.str();
+  }
+  fs::remove_all(dir);
+  return files;
+}
 
+/// Runs `cfg` twice and requires byte-identical telemetry snapshots and
+/// artifact trees.
+void expect_repeat_runs_identical(const std::string& name,
+                                  const TestConfig& cfg) {
   Orchestrator first(cfg);
   Orchestrator second(cfg);
-  const std::string a =
-      telemetry::serialize_deterministic(first.run().telemetry);
-  const std::string b =
-      telemetry::serialize_deterministic(second.run().telemetry);
-  EXPECT_GT(a.size(), 500u);
-  EXPECT_EQ(a, b);
+  const TestResult& ra = first.run();
+  const TestResult& rb = second.run();
+  const std::string a = telemetry::serialize_deterministic(ra.telemetry);
+  const std::string b = telemetry::serialize_deterministic(rb.telemetry);
+  EXPECT_GT(a.size(), 500u) << name;
+  EXPECT_EQ(a, b) << name;
+  // Same directory name for both: report.json records it.
+  const auto files = artifact_bytes(ra, name);
+  EXPECT_GE(files.size(), 8u) << name;
+  EXPECT_TRUE(files == artifact_bytes(rb, name)) << name;
+}
+
+TEST(ReportDeterminism, RepeatedRunsProduceIdenticalSnapshots) {
+  TestConfig drop;
+  drop.traffic.num_connections = 2;
+  drop.traffic.num_msgs_per_qp = 4;
+  drop.traffic.message_size = 10240;
+  drop.traffic.mtu = 1024;
+  drop.traffic.data_pkt_events.push_back(
+      DataPacketEvent{1, 3, EventType::kDrop, 1});
+  expect_repeat_runs_identical("drop", drop);
+
+  // The whole stateful fault vocabulary in one run; no golden tree pins
+  // its bytes, so this repeat-run check does.
+  const std::string faults_yaml =
+      std::string(LUMINA_EXAMPLES_DIR) + "/configs/fault_vocabulary.yaml";
+  const TestConfig faults = load_test_config(parse_yaml_file(faults_yaml));
+  expect_repeat_runs_identical("fault_vocabulary", faults);
 }
 
 TEST(ReportDeterminism, TelemetryCanBeDisabled) {

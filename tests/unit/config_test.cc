@@ -1,6 +1,8 @@
 // Unit tests for typed test-configuration loading (config/test_config).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "config/test_config.h"
 #include "rnic/verbs.h"
 
@@ -364,31 +366,55 @@ TEST(Config, SerializeRoundTripsFaultEvents) {
   EXPECT_EQ(serialize_test_config(back), text);
 }
 
-TEST(Config, ShardsKeyParsesIntegersAndAuto) {
-  EXPECT_EQ(load_test_config(parse_yaml("traffic:\n  mtu: 1024\n")).shards, 1);
-  EXPECT_EQ(load_test_config(parse_yaml("shards: 4\n")).shards, 4);
-  // `auto` is the 0 sentinel; the testbed resolves it to
-  // min(hardware_threads, num_domains) at construction.
-  EXPECT_EQ(load_test_config(parse_yaml("shards: auto\n")).shards, 0);
-  EXPECT_THROW(load_test_config(parse_yaml("shards: 0\n")), YamlError);
-  EXPECT_THROW(load_test_config(parse_yaml("shards: -2\n")), YamlError);
+/// Loads `yaml` as a test config and returns the YamlError message, or ""
+/// when the load succeeds.
+std::string load_error(const std::string& yaml) {
+  try {
+    load_test_config(parse_yaml(yaml));
+  } catch (const YamlError& e) {
+    return e.what();
+  }
+  return "";
 }
 
-TEST(Config, SerializeRoundTripsShards) {
+TEST(Config, RejectsZeroMtu) {
+  // Used to reach the packetizer and die with SIGFPE.
+  EXPECT_NE(load_error("traffic: {mtu: 0}\n").find("mtu"), std::string::npos);
+}
+
+TEST(Config, RejectsNegativeMtu) {
+  // Used to wrap through the uint32 cast and run a different experiment.
+  EXPECT_NE(load_error("traffic:\n  mtu: -5\n").find("mtu"),
+            std::string::npos);
+}
+
+TEST(Config, RejectsZeroMessageSize) {
+  EXPECT_NE(load_error("traffic:\n  message-size: 0\n").find("message-size"),
+            std::string::npos);
+}
+
+TEST(Config, RejectsZeroMessagesPerQp) {
+  EXPECT_NE(
+      load_error("traffic:\n  num-msgs-per-qp: 0\n").find("num-msgs-per-qp"),
+      std::string::npos);
+}
+
+TEST(Config, SweepRejectsNonPositiveTrafficSizes) {
   TestConfig cfg;
-  // Default stays invisible: pre-cutover configs serialize byte-identically.
-  EXPECT_EQ(serialize_test_config(cfg).find("shards"), std::string::npos);
+  const YamlNode axes = parse_yaml("zero: 0\nnegative: -1\n");
+  EXPECT_THROW(apply_traffic_override(cfg, "mtu", axes["zero"]), YamlError);
+  EXPECT_THROW(apply_traffic_override(cfg, "message-size", axes["negative"]),
+               YamlError);
+  EXPECT_THROW(apply_traffic_override(cfg, "num-msgs-per-qp", axes["zero"]),
+               YamlError);
+}
 
-  cfg.shards = 3;
-  TestConfig back = load_test_config(parse_yaml(serialize_test_config(cfg)));
-  EXPECT_EQ(back.shards, 3);
-
-  cfg.shards = 0;
-  const std::string text = serialize_test_config(cfg);
-  EXPECT_NE(text.find("shards: auto"), std::string::npos);
-  back = load_test_config(parse_yaml(text));
-  EXPECT_EQ(back.shards, 0);
-  EXPECT_EQ(serialize_test_config(back), text);
+TEST(Config, RejectsShardsKeyAndPointsAtJobs) {
+  // The loader ignores unknown keys, so a config written for the removed
+  // sharded kernel would otherwise run silently.
+  const std::string error = load_error("shards: 4\n");
+  EXPECT_NE(error.find("shards"), std::string::npos) << error;
+  EXPECT_NE(error.find("--jobs"), std::string::npos) << error;
 }
 
 }  // namespace

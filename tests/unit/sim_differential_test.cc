@@ -19,8 +19,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/reference_scheduler.h"
 #include "sim/simulator.h"
+#include "support/reference_scheduler.h"
 
 namespace lumina {
 namespace {

@@ -48,14 +48,12 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <config.yaml> [results-dir] [--report file] "
-               "[--trace-out file] [--shards N]\n"
+               "[--trace-out file]\n"
                "       %s --screen <cx4|cx5|cx6|e810> [--jobs N] "
                "[--report file]\n"
-               "       %s --campaign <campaign.yaml> [--jobs N] [--shards N] "
-               "[--seed S]\n"
+               "       %s --campaign <campaign.yaml> [--jobs N] [--seed S]\n"
                "                      [--out dir] [--report file]\n"
-               "       %s --fuzz-campaign <fuzz.yaml> [--jobs N] [--shards N] "
-               "[--seed S]\n"
+               "       %s --fuzz-campaign <fuzz.yaml> [--jobs N] [--seed S]\n"
                "                      [--out dir] [--report file] "
                "[--budget N] [--resume]\n"
                "       %s --fuzz-target <name> [--nic t] [--seed S] "
@@ -79,31 +77,8 @@ void usage(const char* argv0) {
                "--report writes the telemetry report.json and --trace-out "
                "the Chrome trace\n"
                "(chrome://tracing / Perfetto) to the given paths "
-               "(docs/telemetry.md).\n"
-               "--shards selects the event-kernel shard count "
-               "(docs/simulator.md); sharded\n"
-               "results are identical for every accepted value (1 <= N <= "
-               "hosts + dumpers + 1),\n"
-               "and 'auto' resolves to min(hardware threads, event "
-               "domains).\n",
+               "(docs/telemetry.md).\n",
                argv0, argv0, argv0, argv0, argv0);
-}
-
-/// Parses a --shards value: `auto` maps to the 0 sentinel (the testbed
-/// resolves min(hardware_threads, num_domains) at construction); anything
-/// else must be an integer >= 1. An explicit numeric 0 stays an error —
-/// only the spelled-out keyword opts into auto.
-bool parse_shards_value(const char* text, int* shards) {
-  if (std::strcmp(text, "auto") == 0) {
-    *shards = 0;
-    return true;
-  }
-  *shards = std::atoi(text);
-  if (*shards < 1) {
-    std::fprintf(stderr, "error: --shards must be >= 1 or 'auto'\n");
-    return false;
-  }
-  return true;
 }
 
 /// Writes `report` to `path`, logging the result. Returns false on I/O
@@ -137,9 +112,6 @@ bool parse_campaign_flags(int argc, char** argv, int first,
         std::fprintf(stderr, "error: --jobs must be >= 1\n");
         return false;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (!need_value("--shards")) return false;
-      if (!parse_shards_value(argv[++i], &options->shards)) return false;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (!need_value("--seed")) return false;
       options->seed = std::strtoull(argv[++i], nullptr, 0);
@@ -223,7 +195,7 @@ int run_campaign_mode(int argc, char** argv) {
   try {
     report = run_campaign(campaign, options);
   } catch (const std::exception& error) {
-    // e.g. a shard count no run's topology can satisfy.
+    // e.g. an experiment topology the testbed rejects (< 2 hosts).
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
@@ -283,11 +255,6 @@ int run_fuzz_campaign_mode(int argc, char** argv) {
         std::fprintf(stderr, "error: --jobs must be >= 1\n");
         return 1;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      // Event-kernel shards for experiment-backed runs; fuzz iterations
-      // that never build a testbed simply ignore the setting.
-      if (!need_value("--shards")) return 1;
-      if (!parse_shards_value(argv[++i], &options.shards)) return 1;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (!need_value("--seed")) return 1;
       options.seed = std::strtoull(argv[++i], nullptr, 0);
@@ -472,8 +439,6 @@ int main(int argc, char** argv) {
   std::string results_dir;
   std::string report_path;
   std::string trace_path;
-  Orchestrator::Options orch_options;
-  bool shards_from_cli = false;
   for (int i = 2; i < argc; ++i) {
     const auto need_value = [&](const char* flag) {
       if (i + 1 < argc) return true;
@@ -486,10 +451,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
       if (!need_value("--trace-out")) return 1;
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (!need_value("--shards")) return 1;
-      if (!parse_shards_value(argv[++i], &orch_options.shards)) return 1;
-      shards_from_cli = true;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return 1;
@@ -520,26 +481,7 @@ int main(int argc, char** argv) {
   }
   std::printf("   injected events: %zu\n", cfg.traffic.data_pkt_events.size());
 
-  // The config's `shards:` key (integer or `auto`) applies unless the
-  // flag overrode it on the command line.
-  if (!shards_from_cli) orch_options.shards = cfg.shards;
-
-  // Shard validation needs the normalized topology: the domain space is
-  // 1 switch + hosts + dumpers (topology/testbed.h ShardPlan). The auto
-  // sentinel (0) is always in range — the testbed clamps it to the
-  // domain space when it resolves.
-  const int num_domains = 1 + static_cast<int>(cfg.hosts.size()) +
-                          orch_options.num_dumpers;
-  if (orch_options.shards > num_domains) {
-    std::fprintf(stderr,
-                 "error: --shards %d exceeds the topology's %d event "
-                 "domains (1 switch + %zu hosts + %d dumpers)\n",
-                 orch_options.shards, num_domains, cfg.hosts.size(),
-                 orch_options.num_dumpers);
-    return 1;
-  }
-
-  Orchestrator orch(cfg, orch_options);
+  Orchestrator orch(cfg);
   const TestResult& result = orch.run();
 
   std::printf("\n== Integrity check (Section 3.5)\n   %s\n",

@@ -4,7 +4,6 @@
 //
 //   report_diff <baseline.json> <candidate.json>
 //               [--tolerance T] [--metric prefix=T ...] [--allow-missing]
-//               [--ignore-kernel-shape]
 //
 // Exit codes: 0 = within tolerance, 1 = regression (metrics outside
 // tolerance or missing), 2 = usage or I/O error. Wall-clock sections are
@@ -27,7 +26,6 @@ void usage(const char* argv0) {
                "usage: %s <baseline.json> <candidate.json>\n"
                "          [--tolerance T] [--metric prefix=T ...] "
                "[--allow-missing]\n"
-               "          [--ignore-kernel-shape]\n"
                "\n"
                "Compares the deterministic sections of two telemetry "
                "reports. A metric passes\n"
@@ -36,12 +34,6 @@ void usage(const char* argv0) {
                "overrides the tolerance for every metric matching the "
                "given name prefix\n"
                "(longest prefix wins). Wall-clock sections are ignored.\n"
-               "--ignore-kernel-shape skips scheduler-queue high-water "
-               "gauges\n"
-               "(sim.queue_depth*) whose values depend on the event "
-               "kernel, for\n"
-               "baselines recorded on a different kernel (sequential vs "
-               "sharded).\n"
                "Exit: 0 pass, 1 regression, 2 usage/IO error.\n",
                argv0);
 }
@@ -97,8 +89,6 @@ int main(int argc, char** argv) {
       if (!parse_metric_override(argv[++i], &options)) return 2;
     } else if (std::strcmp(argv[i], "--allow-missing") == 0) {
       options.allow_missing = true;
-    } else if (std::strcmp(argv[i], "--ignore-kernel-shape") == 0) {
-      options.ignore_kernel_shape = true;
     } else {
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return 2;
