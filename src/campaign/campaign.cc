@@ -69,7 +69,7 @@ CampaignRunOutcome execute_run(const CampaignRunSpec& spec,
           result.integrity.ok() ? "ok" : "FAILED",
           result.finished ? "yes" : "no", result.trace.size(),
           result.flows.size(), completed);
-      out.result = result;
+      out.result = orch.take_result();
       break;
     }
     case CampaignRunKind::kSuite: {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "injector/mirror.h"
@@ -69,6 +70,11 @@ class TrafficDumper : public Node {
   void terminate();
 
   const std::vector<DumpedPacket>& packets() const { return packets_; }
+  /// Moves the capture store out (the orchestrator's trace merge); the
+  /// dumper is left with no captures. Counters are unaffected.
+  std::vector<DumpedPacket> take_packets() {
+    return std::exchange(packets_, {});
+  }
   const DumperCounters& counters() const { return counters_; }
 
   /// Writes captured (trimmed) packets to a pcap file.

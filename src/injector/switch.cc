@@ -38,10 +38,7 @@ struct SwitchPipeline {
         const auto view = parse_roce(pkt);
         if (!view) {
           // Not RoCE-shaped: plain L2/L3 forward after base latency.
-          sw.sim_->schedule_after(sw.options_.l2_pipeline_latency,
-                                  [s = &sw, p = std::move(pkt)]() mutable {
-                                    s->forward(std::move(p));
-                                  });
+          sw.forward_after(sw.options_.l2_pipeline_latency, std::move(pkt));
           batch.consume(i);
           continue;
         }
@@ -203,11 +200,12 @@ struct SwitchPipeline {
               meta.ingress_ts + meta.event_delay;
           ++sw.fault_stats_.delays_applied;
         }
-        sw.sim_->schedule_after(meta.base_latency,
-                                [s = &sw, m = std::move(mirrored)]() mutable {
-                                  s->port(m.port_index)
-                                      .send(std::move(m.clone));
-                                });
+        sw.sim_->schedule_after(
+            meta.base_latency,
+            [s = &sw, slot = sw.park(std::move(mirrored.clone)),
+             port = mirrored.port_index] {
+              s->port(port).send(s->unpark(slot));
+            });
       }
     }
 
@@ -273,15 +271,9 @@ struct SwitchPipeline {
           Packet clone = pkt.clone_arena();
           ++sw.counters_.roce_tx;
           ++sw.fault_stats_.duplicates_emitted;
-          sw.sim_->schedule_after(depart + 1,
-                                  [s = &sw, p = std::move(clone)]() mutable {
-                                    s->forward(std::move(p));
-                                  });
+          sw.forward_after(depart + 1, std::move(clone));
         }
-        sw.sim_->schedule_after(depart,
-                                [s = &sw, p = std::move(pkt)]() mutable {
-                                  s->forward(std::move(p));
-                                });
+        sw.forward_after(depart, std::move(pkt));
         batch.consume(i);
         // A held (reordered) predecessor departs right behind this packet.
         if (meta.is_data) {
@@ -291,10 +283,7 @@ struct SwitchPipeline {
             Packet held = std::move(it->second.pkt);
             sw.reorder_slots_.erase(it);
             ++sw.counters_.roce_tx;
-            sw.sim_->schedule_after(depart + 1,
-                                    [s = &sw, p = std::move(held)]() mutable {
-                                      s->forward(std::move(p));
-                                    });
+            sw.forward_after(depart + 1, std::move(held));
           }
         }
       }
@@ -470,6 +459,28 @@ void EventInjectorSwitch::flush_reorder(const FlowKey& flow) {
   reorder_slots_.erase(it);
   ++counters_.roce_tx;
   forward(std::move(held));
+}
+
+std::uint32_t EventInjectorSwitch::park(Packet pkt) {
+  if (free_parked_.empty()) {
+    parked_.push_back(std::move(pkt));
+    return static_cast<std::uint32_t>(parked_.size() - 1);
+  }
+  const std::uint32_t slot = free_parked_.back();
+  free_parked_.pop_back();
+  parked_[slot] = std::move(pkt);
+  return slot;
+}
+
+Packet EventInjectorSwitch::unpark(std::uint32_t slot) {
+  free_parked_.push_back(slot);
+  return std::move(parked_[slot]);
+}
+
+void EventInjectorSwitch::forward_after(Tick delay, Packet pkt) {
+  sim_->schedule_after(delay, [this, slot = park(std::move(pkt))] {
+    forward(unpark(slot));
+  });
 }
 
 void EventInjectorSwitch::forward(Packet pkt) {

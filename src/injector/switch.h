@@ -147,6 +147,11 @@ class EventInjectorSwitch : public Node {
     return delay_releases_;
   }
 
+  /// Frames the pipeline holds for a scheduled forward or mirror send.
+  std::size_t parked() const {
+    return parked_.size() - free_parked_.size();
+  }
+
   // -- data plane ----------------------------------------------------------
   // The event kernel delivers one packet per call; handle_packet is a
   // batch pump over a single-slot batch. handle_batch runs the declared
@@ -167,7 +172,16 @@ class EventInjectorSwitch : public Node {
   friend struct SwitchPipeline;
 
   void forward(Packet pkt);
+  /// Schedules forward(pkt) `delay` from now, the frame parked meanwhile.
+  void forward_after(Tick delay, Packet pkt);
   void flush_reorder(const FlowKey& flow);
+
+  // Frames waiting in the pipeline for a scheduled event live in parked_;
+  // the event captures only the 4-byte slot, so every closure fits the
+  // kernel's inline callback buffer. unpark() moves the frame out and
+  // recycles the slot.
+  std::uint32_t park(Packet pkt);
+  Packet unpark(std::uint32_t slot);
 
   // Stateful fault models (docs/fuzzing.md).
   void start_burst_channel(const FlowKey& flow, const FaultParams& fault);
@@ -206,6 +220,8 @@ class EventInjectorSwitch : public Node {
   std::unordered_map<FlowKey, BurstChannelSlot, FlowKeyHash> burst_channels_;
   SwitchFaultStats fault_stats_;
   std::unordered_map<std::uint64_t, Tick> delay_releases_;
+  std::vector<Packet> parked_;
+  std::vector<std::uint32_t> free_parked_;
 
   // Stateful-discovery ablation state.
   std::vector<RelativeEventRule> relative_rules_;

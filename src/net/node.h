@@ -4,14 +4,19 @@
 // FIFO with a byte cap (the MMU buffer on switches, the TX ring on NICs),
 // serializes packets at the link rate, and delivers them to the peer port's
 // owner after the propagation delay.
+//
+// Frames on the wire wait in the port's in-flight FIFO, not in the delivery
+// event: serialization is FIFO and propagation is constant, so arrivals
+// fire in send order and each delivery event (capturing only the port)
+// pops the head. Event closures never carry a Packet (docs/simulator.md).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
 
+#include "packet/packet_ring.h"
 #include "packet/roce_packet.h"
 #include "sim/simulator.h"
 #include "util/time.h"
@@ -97,6 +102,10 @@ class Port {
   int index() const { return index_; }
   Node* owner() const { return owner_; }
 
+  /// Frames on the wire (serializing or propagating) that have not reached
+  /// the peer yet.
+  std::size_t in_flight() const { return in_flight_.size(); }
+
   /// Called by the peer when a packet finishes arriving here.
   void deliver(Packet pkt);
 
@@ -114,7 +123,8 @@ class Port {
   int index_;
   Port* peer_ = nullptr;
   LinkParams params_;
-  std::deque<Packet> queue_;
+  PacketRing queue_;      ///< Egress FIFO, waiting for the wire.
+  PacketRing in_flight_;  ///< Serialized, propagating toward peer_.
   std::size_t queued_bytes_ = 0;
   std::size_t queue_byte_cap_ = 4 * 1024 * 1024;
   bool transmitting_ = false;

@@ -1,6 +1,7 @@
 #include "orchestrator/orchestrator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "util/logging.h"
@@ -130,25 +131,34 @@ const TestResult& Orchestrator::run() {
 
 void Orchestrator::collect_results() {
   EventInjectorSwitch& injector = testbed_->injector();
-  // TERM all dumpers, then merge and sort by mirror sequence number.
-  std::vector<TracePacket> packets;
+  // TERM all dumpers and take their captures (moved, not copied), then
+  // merge by mirror sequence number. The sort runs over a (mirror_seq,
+  // index) key array, so each frame moves into the trace exactly once.
+  std::vector<DumpedPacket> captures;
   for (auto& dumper : testbed_->dumpers()) {
     dumper->terminate();
-    for (const auto& dumped : dumper->packets()) {
-      TracePacket tp;
-      tp.pkt = dumped.pkt;
-      tp.meta = dumped.meta;
-      tp.orig_len = dumped.orig_len;
-      const auto view = parse_roce(tp.pkt, /*allow_trimmed=*/true);
-      if (!view) continue;
-      tp.view = *view;
-      packets.push_back(std::move(tp));
-    }
+    std::vector<DumpedPacket> taken = dumper->take_packets();
+    captures.insert(captures.end(), std::make_move_iterator(taken.begin()),
+                    std::make_move_iterator(taken.end()));
   }
-  std::sort(packets.begin(), packets.end(),
-            [](const TracePacket& a, const TracePacket& b) {
-              return a.meta.mirror_seq < b.meta.mirror_seq;
-            });
+  std::vector<std::pair<std::uint64_t, std::size_t>> order;
+  order.reserve(captures.size());
+  for (std::size_t i = 0; i < captures.size(); ++i) {
+    order.emplace_back(captures[i].meta.mirror_seq, i);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<TracePacket> packets;
+  packets.reserve(captures.size());
+  for (const auto& [seq, i] : order) {
+    DumpedPacket& dumped = captures[i];
+    const auto view = parse_roce(dumped.pkt, /*allow_trimmed=*/true);
+    if (!view) continue;
+    TracePacket& tp = packets.emplace_back();
+    tp.pkt = std::move(dumped.pkt);
+    tp.view = *view;
+    tp.meta = dumped.meta;
+    tp.orig_len = dumped.orig_len;
+  }
   // Join the injector's delay-release log: analyzers that replay the trace
   // in receiver order (gbn_fsm) need to know when a delay-held packet
   // actually left the switch.

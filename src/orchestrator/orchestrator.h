@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/test_config.h"
@@ -82,6 +83,10 @@ class Orchestrator {
   const TestResult& run();
 
   const TestResult& result() const { return result_; }
+  /// Moves the collected results out (after run()), leaving result()
+  /// empty: callers that keep a result past the orchestrator skip a copy
+  /// of the whole trace.
+  TestResult take_result() { return std::move(result_); }
 
   // Component access for targeted tests and ablation benches.
   Testbed& testbed() { return *testbed_; }

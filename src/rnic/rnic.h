@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/node.h"
+#include "packet/packet_ring.h"
 #include "packet/pfc.h"
 #include "pipeline/stage.h"
 #include "rnic/counters.h"
@@ -197,9 +198,16 @@ class Rnic : public Node {
   std::uint32_t next_qpn_;
 
   // Egress engine.
-  std::deque<Packet> control_queue_;
+  PacketRing control_queue_;
   EtsScheduler ets_;
   std::vector<TcState> tcs_;
+  // pump()'s per-class scratch, kept across calls so the egress engine
+  // allocates nothing per pass: readiness and head-packet bytes (the ETS
+  // inputs) plus each ready class's round-robin pick and its position.
+  std::vector<bool> pump_active_;
+  std::vector<std::size_t> pump_bytes_;
+  std::vector<QueuePair*> pump_chosen_;
+  std::vector<std::uint32_t> pump_chosen_pos_;
   Tick pump_scheduled_for_ = -1;
   int doorbell_batch_depth_ = 0;
   bool doorbell_kick_pending_ = false;

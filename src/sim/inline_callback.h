@@ -4,8 +4,9 @@
 // the implementation's tiny inline buffer (typically two pointers), which
 // made every link-delivery and timer event an allocator round trip. This
 // type stores captures up to kInlineBytes in place — large enough for the
-// common "this + Packet" and "this + a couple of scalars" closures — and
-// only falls back to the heap for oversized captures (e.g. a full RoceView).
+// "this + a few scalars or handles" closures the hot path schedules — and
+// only falls back to the heap for oversized captures (e.g. a full RoceView
+// or a Packet, which is why events never capture one: docs/simulator.md).
 //
 // Move-only: events are scheduled once and fired once; copyability would
 // force every capture to be copyable and invite accidental duplication.
@@ -20,9 +21,9 @@ namespace lumina {
 
 class InlineCallback {
  public:
-  /// Inline capture budget. 48 bytes covers a `this` pointer plus a moved-in
-  /// Packet (24 bytes) or several scalars with room to spare, while keeping
-  /// the whole event slot within one cache line.
+  /// Inline capture budget. 48 bytes covers a `this` pointer plus several
+  /// scalars or slot handles with room to spare, while keeping the whole
+  /// event slot within one cache line.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineCallback() = default;

@@ -1,5 +1,6 @@
 #include "suite/bug_detectors.h"
 
+#include <cstdarg>
 #include <cstdio>
 
 #include "analyzers/cnp_analyzer.h"
@@ -16,9 +17,15 @@ TestConfig base(NicType nic) {
   return cfg;
 }
 
-std::string fmt_evidence(const char* format, double a, double b) {
+std::string fmt_evidence(const char* format, ...)
+    __attribute__((format(printf, 1, 2)));
+
+std::string fmt_evidence(const char* format, ...) {
   char buf[160];
-  std::snprintf(buf, sizeof(buf), format, a, b);
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
   return buf;
 }
 
@@ -95,10 +102,9 @@ DetectionResult detect_interop(NicType nic) {
   const TestResult& result = orch.run();
   DetectionResult out{KnownIssue::kInteropMigReq, nic,
                       result.responder_counters().rx_discards_phy > 0, ""};
-  out.evidence = fmt_evidence("CX5 responder rx_discards_phy = %.0f%s",
-                              static_cast<double>(
-                                  result.responder_counters().rx_discards_phy),
-                              0.0);
+  out.evidence = fmt_evidence(
+      "CX5 responder rx_discards_phy = %.0f",
+      static_cast<double>(result.responder_counters().rx_discards_phy));
   return out;
 }
 

@@ -38,11 +38,16 @@ void append_json_string(std::string* out, const char* s) {
 }  // namespace
 
 TraceSink::TraceSink(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      ring_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void TraceSink::record(const TraceEvent& ev) {
-  ring_[static_cast<std::size_t>(total_ % capacity_)] = ev;
+  // Until the ring first fills, total_ == ring_.size(): appending is the
+  // same write as the wrapped index, so growth never reorders events.
+  if (ring_.size() < capacity_) {
+    ring_.push_back(ev);
+  } else {
+    ring_[static_cast<std::size_t>(total_ % capacity_)] = ev;
+  }
   ++total_;
 }
 

@@ -2,13 +2,14 @@
 //
 // A TraceSink belongs to one run — unlike the metrics registry it is NOT
 // generally thread-safe; campaigns give every run its own sink. The ring
-// has a fixed capacity: once full, the oldest events are overwritten and
+// grows on demand up to a fixed capacity, so a short run pays only for the
+// events it records; once full, the oldest events are overwritten and
 // counted as dropped, so tracing never grows memory unboundedly on a long
 // run.
 //
 // Event names and categories must be string literals (or otherwise outlive
-// the sink): events store the pointers, not copies, which keeps the record
-// hot path allocation-free.
+// the sink): events store the pointers, not copies, so recording never
+// copies a string (the ring itself allocates only while it grows).
 //
 // chrome_json() emits the Trace Event Format understood by
 // chrome://tracing and https://ui.perfetto.dev (docs/telemetry.md).

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -180,6 +181,51 @@ TEST(TraceSink, RingOverwritesOldestAndCountsDrops) {
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().arg, 6);  // oldest retained
   EXPECT_EQ(events.back().arg, 9);
+}
+
+TEST(TraceSink, LazyRingMatchesFixedRingAtEveryFillLevel) {
+  // The ring grows on demand up to its capacity; at every fill level —
+  // empty, one short of full, full, one past, and wrapped several times —
+  // it must report exactly what a ring allocated up front did: the
+  // retained window, the drop count, and byte-identical Chrome JSON.
+  // Expected JSON is spelled out in the export format (integer-math
+  // microseconds, args.v), independent of the sink's own formatter.
+  const std::size_t capacities[] = {0, 1, 4};
+  for (const std::size_t requested : capacities) {
+    const std::size_t cap = requested == 0 ? 1 : requested;
+    const std::size_t fills[] = {0, cap - 1, cap, cap + 1, 3 * cap};
+    for (const std::size_t n : fills) {
+      SCOPED_TRACE("capacity " + std::to_string(requested) + ", events " +
+                   std::to_string(n));
+      TraceSink sink(requested);
+      sink.set_track_name(kTrackSim, "sim");
+      for (std::size_t i = 0; i < n; ++i) {
+        sink.instant("c", "e", static_cast<Tick>(1000 * i + 7), kTrackSim,
+                     static_cast<std::int64_t>(i));
+      }
+      const std::size_t kept = n < cap ? n : cap;
+      EXPECT_EQ(sink.capacity(), cap);
+      EXPECT_EQ(sink.recorded(), n);
+      EXPECT_EQ(sink.size(), kept);
+      EXPECT_EQ(sink.dropped(), n - kept);
+
+      const auto events = sink.events_in_order();
+      ASSERT_EQ(events.size(), kept);
+      std::string json = "{\"traceEvents\":[";
+      json += "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",";
+      json += "\"args\":{\"name\":\"sim\"}}";
+      for (std::size_t k = 0; k < kept; ++k) {
+        const std::size_t i = n - kept + k;  // oldest retained first
+        EXPECT_EQ(events[k].arg, static_cast<std::int64_t>(i));
+        EXPECT_EQ(events[k].ts, static_cast<Tick>(1000 * i + 7));
+        const std::string idx = std::to_string(i);
+        json += ",{\"cat\":\"c\",\"name\":\"e\",\"ph\":\"i\",\"ts\":" + idx;
+        json += ".007,\"pid\":0,\"tid\":0,\"args\":{\"v\":" + idx + "}}";
+      }
+      json += "]}";
+      EXPECT_EQ(sink.chrome_json(), json);
+    }
+  }
 }
 
 TEST(TraceSink, ChromeJsonIsParsableAndCarriesTrackNames) {
