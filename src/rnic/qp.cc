@@ -55,6 +55,7 @@ void QueuePair::post_send(const WorkRequest& wr) {
   wqe.posted_at = rnic_->sim()->now();
   packetize(wqe);
   wqes_.push_back(wqe);
+  advance_wqe_cursors();
   rnic_->mark_tx_work(*this);
   rnic_->notify_tx_ready();
 }
@@ -252,7 +253,8 @@ void QueuePair::on_atomic_ack(const RoceView& view) {
   if (error_ || !view.atomic_ack_eth) return;
   const std::uint32_t psn = view.bth.psn;
   // Record the original value on the WQE before cumulative completion.
-  for (auto& wqe : wqes_) {
+  for (std::size_t i = oldest_other_; i < wqes_.size(); ++i) {
+    Wqe& wqe = wqes_[i];
     if (!wqe.completed &&
         (wqe.wr.verb == RdmaVerb::kFetchAdd ||
          wqe.wr.verb == RdmaVerb::kCmpSwap) &&
@@ -280,16 +282,13 @@ void QueuePair::advance_snd_una(std::uint32_t acked_psn) {
     rto_fires_ = 0;
     rnr_retries_ = 0;
   }
-  // Complete WQEs whose last PSN is covered.
-  for (std::size_t i = 0; i < wqes_.size(); ++i) {
-    Wqe& wqe = wqes_[i];
-    if (wqe.completed || wqe.wr.verb == RdmaVerb::kRead) continue;
+  // Complete non-Read WQEs, oldest first, while their last PSN is covered
+  // (Reads complete on their responses). complete_wqe moves the cursor.
+  while (oldest_other_ < wqes_.size()) {
+    const Wqe& wqe = wqes_[oldest_other_];
     const std::uint32_t last = psn_add(wqe.start_psn, wqe.n_pkts - 1);
-    if (psn_ge(acked_psn, last)) {
-      complete_wqe(i, WcStatus::kSuccess);
-    } else {
-      break;
-    }
+    if (!psn_ge(acked_psn, last)) break;
+    complete_wqe(oldest_other_, WcStatus::kSuccess);
   }
   disarm_rto();
   arm_rto();
@@ -334,12 +333,9 @@ std::size_t QueuePair::desc_index_for_psn(std::uint32_t psn) const {
 std::optional<std::uint32_t> QueuePair::expected_read_resp_psn() const {
   // Interleaved verbs make response PSNs non-contiguous: the expectation is
   // always anchored at the oldest incomplete read WQE's progress.
-  for (const auto& wqe : wqes_) {
-    if (!wqe.completed && wqe.wr.verb == RdmaVerb::kRead) {
-      return psn_add(wqe.start_psn, wqe.pkts_done);
-    }
-  }
-  return std::nullopt;
+  if (oldest_read_ == wqes_.size()) return std::nullopt;
+  const Wqe& wqe = wqes_[oldest_read_];
+  return psn_add(wqe.start_psn, wqe.pkts_done);
 }
 
 void QueuePair::on_read_response_packet(const RoceView& view) {
@@ -357,12 +353,10 @@ void QueuePair::on_read_response_packet(const RoceView& view) {
     retry_count_ = 0;
     rto_fires_ = 0;
     // Credit the packet to the oldest incomplete read WQE.
-    for (std::size_t i = 0; i < wqes_.size(); ++i) {
-      Wqe& wqe = wqes_[i];
-      if (wqe.completed || wqe.wr.verb != RdmaVerb::kRead) continue;
-      ++wqe.pkts_done;
-      if (wqe.pkts_done >= wqe.n_pkts) complete_wqe(i, WcStatus::kSuccess);
-      break;
+    Wqe& wqe = wqes_[oldest_read_];
+    ++wqe.pkts_done;
+    if (wqe.pkts_done >= wqe.n_pkts) {
+      complete_wqe(oldest_read_, WcStatus::kSuccess);
     }
     // Read requests are implicitly acknowledged by their responses:
     // retire leading descriptors whose WQE has completed so the RTO
@@ -406,31 +400,28 @@ void QueuePair::on_read_response_packet(const RoceView& view) {
 }
 
 void QueuePair::issue_read_rerequest(Tick hold) {
-  // Find the oldest incomplete read WQE; everything from its in-order
-  // progress point to the end of its range must be re-requested.
-  for (std::size_t i = 0; i < wqes_.size(); ++i) {
-    Wqe& wqe = wqes_[i];
-    if (wqe.completed || wqe.wr.verb != RdmaVerb::kRead) continue;
-    const std::uint32_t remaining_pkts = wqe.n_pkts - wqe.pkts_done;
-    if (remaining_pkts == 0) return;
-    const std::uint64_t done_bytes =
-        static_cast<std::uint64_t>(wqe.pkts_done) * config_.mtu;
-    TxDesc desc;
-    desc.psn = psn_add(wqe.start_psn, wqe.pkts_done);
-    desc.psn_span = remaining_pkts;
-    desc.opcode = IbOpcode::kReadRequest;
-    desc.reth = Reth{wqe.wr.remote_addr + done_bytes, wqe.wr.rkey,
-                     static_cast<std::uint32_t>(wqe.wr.length - done_bytes)};
-    desc.wqe_index = i;
-    desc.sent_count = 1;  // counts as a retransmission when it goes out
-    tx_descs_.insert(
-        tx_descs_.begin() + static_cast<std::ptrdiff_t>(snd_nxt_), desc);
-    const Tick now = rnic_->sim()->now();
-    tx_hold_until_ = std::max(tx_hold_until_, now + hold);
-    rnic_->mark_tx_work(*this);
-    rnic_->notify_tx_ready();
-    return;
-  }
+  // Everything from the oldest incomplete read WQE's in-order progress
+  // point to the end of its range must be re-requested.
+  if (oldest_read_ == wqes_.size()) return;
+  const Wqe& wqe = wqes_[oldest_read_];
+  const std::uint32_t remaining_pkts = wqe.n_pkts - wqe.pkts_done;
+  if (remaining_pkts == 0) return;
+  const std::uint64_t done_bytes =
+      static_cast<std::uint64_t>(wqe.pkts_done) * config_.mtu;
+  TxDesc desc;
+  desc.psn = psn_add(wqe.start_psn, wqe.pkts_done);
+  desc.psn_span = remaining_pkts;
+  desc.opcode = IbOpcode::kReadRequest;
+  desc.reth = Reth{wqe.wr.remote_addr + done_bytes, wqe.wr.rkey,
+                   static_cast<std::uint32_t>(wqe.wr.length - done_bytes)};
+  desc.wqe_index = oldest_read_;
+  desc.sent_count = 1;  // counts as a retransmission when it goes out
+  tx_descs_.insert(tx_descs_.begin() + static_cast<std::ptrdiff_t>(snd_nxt_),
+                   desc);
+  const Tick now = rnic_->sim()->now();
+  tx_hold_until_ = std::max(tx_hold_until_, now + hold);
+  rnic_->mark_tx_work(*this);
+  rnic_->notify_tx_ready();
 }
 
 // ---------------------------------------------------------------------------
@@ -582,16 +573,15 @@ void QueuePair::responder_handle_read_request(const RoceView& view) {
     // Retransmitted ("implied NAK") request: rewind the response stream to
     // the requested PSN after the device's read NACK-reaction delay.
     ++rnic_->counters().duplicate_request;
-    const std::int32_t index = psn_distance(psn, resp_base_psn_);
-    if (index >= 0 &&
-        static_cast<std::size_t>(index) < resp_descs_.size()) {
-      resp_next_ = static_cast<std::size_t>(index);
+    const std::size_t index = resp_index_for_psn(psn);
+    if (index < resp_descs_.size()) {
+      resp_next_ = index;
       // The re-request carries the remaining length from an advanced
       // vaddr; the response descriptors for that range already exist, but
       // their first-packet opcode must be valid from the rewind point.
       resp_descs_[resp_next_].opcode =
           resp_descs_[resp_next_].opcode == IbOpcode::kReadRespLast ||
-                  static_cast<std::size_t>(index) + 1 == resp_descs_.size()
+                  index + 1 == resp_descs_.size()
               ? IbOpcode::kReadRespOnly
               : IbOpcode::kReadRespFirst;
       const Tick now = rnic_->sim()->now();
@@ -611,6 +601,20 @@ void QueuePair::responder_handle_read_request(const RoceView& view) {
     ++rnic_->counters().out_of_sequence;
     schedule_nack();
   }
+}
+
+std::size_t QueuePair::resp_index_for_psn(std::uint32_t psn) const {
+  // Response PSNs ascend from resp_base_psn_ but skip the PSNs of Send and
+  // Write requests interleaved on the QP, so the distance from the base is
+  // the index only while every request so far was a Read.
+  const std::int32_t dist = psn_distance(psn, resp_base_psn_);
+  const auto it = std::lower_bound(
+      resp_descs_.begin(), resp_descs_.end(), dist,
+      [this](const RespDesc& d, std::int32_t target) {
+        return psn_distance(d.psn, resp_base_psn_) < target;
+      });
+  if (it == resp_descs_.end() || it->psn != psn) return resp_descs_.size();
+  return static_cast<std::size_t>(it - resp_descs_.begin());
 }
 
 void QueuePair::append_read_response_descs(std::uint32_t psn,
@@ -765,12 +769,9 @@ Tick QueuePair::current_rto() const {
 }
 
 void QueuePair::arm_rto() {
-  const bool outstanding =
-      snd_una_ < snd_nxt_ ||
-      std::any_of(wqes_.begin(), wqes_.end(), [](const Wqe& w) {
-        return !w.completed && w.wr.verb == RdmaVerb::kRead &&
-               w.pkts_done < w.n_pkts;
-      });
+  // An incomplete Read always has responses outstanding: it completes on
+  // the response that makes pkts_done reach n_pkts.
+  const bool outstanding = snd_una_ < snd_nxt_ || oldest_read_ < wqes_.size();
   if (rto_armed_ || !outstanding || error_) return;
   rto_armed_ = true;
   rto_armed_at_ = rnic_->sim()->now();
@@ -788,11 +789,7 @@ void QueuePair::disarm_rto() {
 
 void QueuePair::on_rto() {
   if (error_) return;
-  const bool outstanding_reads =
-      std::any_of(wqes_.begin(), wqes_.end(), [](const Wqe& w) {
-        return !w.completed && w.wr.verb == RdmaVerb::kRead &&
-               w.pkts_done < w.n_pkts;
-      });
+  const bool outstanding_reads = oldest_read_ < wqes_.size();
   if (snd_una_ >= snd_nxt_ && !outstanding_reads) return;
 
   ++rnic_->counters().local_ack_timeout_err;
@@ -849,8 +846,25 @@ void QueuePair::complete_wqe(std::size_t index, WcStatus status) {
   Wqe& wqe = wqes_[index];
   if (wqe.completed) return;
   wqe.completed = true;
-  deliver_completion(
-      {wqe.wr.wr_id, status, rnic_->sim()->now(), wqe.atomic_original});
+  const WorkCompletion wc{wqe.wr.wr_id, status, rnic_->sim()->now(),
+                          wqe.atomic_original};
+  // Before delivery: the completion callback may post (and reallocate
+  // wqes_) or re-enter the QP.
+  advance_wqe_cursors();
+  deliver_completion(wc);
+}
+
+void QueuePair::advance_wqe_cursors() {
+  while (oldest_read_ < wqes_.size() &&
+         (wqes_[oldest_read_].completed ||
+          wqes_[oldest_read_].wr.verb != RdmaVerb::kRead)) {
+    ++oldest_read_;
+  }
+  while (oldest_other_ < wqes_.size() &&
+         (wqes_[oldest_other_].completed ||
+          wqes_[oldest_other_].wr.verb == RdmaVerb::kRead)) {
+    ++oldest_other_;
+  }
 }
 
 void QueuePair::deliver_completion(const WorkCompletion& wc) {

@@ -144,6 +144,7 @@ class QueuePair {
   // ---- requester internals ----
   void packetize(Wqe& wqe);
   void complete_wqe(std::size_t index, WcStatus status);
+  void advance_wqe_cursors();
   void deliver_completion(const WorkCompletion& wc);
   void advance_snd_una(std::uint32_t acked_psn);
   void start_rewind(std::uint32_t psn, Tick extra_hold);
@@ -167,6 +168,8 @@ class QueuePair {
   void schedule_ack(std::uint32_t psn);
   void schedule_nack();
   void append_read_response_descs(std::uint32_t psn, std::uint32_t len);
+  /// Index of the response desc carrying `psn`; resp_descs_.size() if none.
+  std::size_t resp_index_for_psn(std::uint32_t psn) const;
 
   Rnic* rnic_;
   std::uint32_t qpn_;
@@ -182,6 +185,11 @@ class QueuePair {
 
   // ---- requester state ----
   std::vector<Wqe> wqes_;
+  /// Oldest incomplete Read WQE and oldest incomplete non-Read WQE;
+  /// wqes_.size() when there is none. Both only move forward: a WQE never
+  /// becomes incomplete again and never changes verb.
+  std::size_t oldest_read_ = 0;
+  std::size_t oldest_other_ = 0;
   std::vector<TxDesc> tx_descs_;
   std::size_t snd_nxt_ = 0;      ///< Next TX desc index to transmit.
   std::size_t snd_una_ = 0;      ///< First unacknowledged desc index.

@@ -8,55 +8,64 @@ namespace lumina {
 
 CalendarQueue::CalendarQueue() : buckets_(kMinBuckets), mask_(kMinBuckets - 1) {}
 
-void CalendarQueue::push(SimEvent ev) {
+std::uint32_t CalendarQueue::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  if (slots_used_ % kSlotsPerChunk == 0) {
+    chunks_.push_back(std::make_unique<SlotChunk>());
+  }
+  return slots_used_++;
+}
+
+void CalendarQueue::push(Tick when, std::uint64_t id, InlineCallback&& cb) {
   maybe_grow();
-  const std::uint64_t year = year_of(ev.when);
+  const std::uint64_t year = year_of(when);
   if (size_ == 0 || year < search_year_) search_year_ = year;
-  insert(std::move(ev));
+  const std::uint32_t slot = acquire_slot();
+  callback(slot) = std::move(cb);
+  insert(Key{when, id, slot});
   ++size_;
   cache_valid_ = false;
 }
 
-void CalendarQueue::insert(SimEvent ev) {
-  Bucket& bucket = buckets_[bucket_of(year_of(ev.when))];
-  std::vector<SimEvent>& items = bucket.items;
-  if (bucket.head == items.size() && bucket.head != 0) {
-    items.clear();
-    bucket.head = 0;
-  }
+void CalendarQueue::insert(const Key& key) {
+  Bucket& bucket = buckets_[bucket_of(year_of(key.when))];
+  std::vector<Key>& keys = bucket.keys;
+  if (bucket.head == keys.size() && bucket.head != 0) bucket.clear();
   // Events usually arrive in increasing time order, so the common case is a
   // plain append; ties and re-arms walk back a few slots at most.
-  std::size_t pos = items.size();
-  while (pos > bucket.head && precedes(ev, items[pos - 1])) --pos;
-  items.insert(items.begin() + static_cast<std::ptrdiff_t>(pos),
-               std::move(ev));
+  std::size_t pos = keys.size();
+  while (pos > bucket.head && precedes(key, keys[pos - 1])) --pos;
+  keys.insert(keys.begin() + static_cast<std::ptrdiff_t>(pos), key);
 }
 
-SimEvent CalendarQueue::pop_min() {
+CalendarQueue::Key CalendarQueue::pop_min() {
   if (!cache_valid_) locate_min();
   Bucket& bucket = buckets_[cached_bucket_];
-  SimEvent ev = std::move(bucket.items[bucket.head]);
+  const Key key = bucket.keys[bucket.head];
   ++bucket.head;
-  if (bucket.head == bucket.items.size()) {
-    bucket.items.clear();
-    bucket.head = 0;
-  } else if (bucket.head >= 64 && bucket.head * 2 >= bucket.items.size()) {
+  if (bucket.head == bucket.keys.size()) {
+    bucket.clear();
+  } else if (bucket.head >= 64 && bucket.head * 2 >= bucket.keys.size()) {
     // Reclaim the consumed prefix once it dominates the vector.
-    bucket.items.erase(bucket.items.begin(),
-                       bucket.items.begin() +
-                           static_cast<std::ptrdiff_t>(bucket.head));
+    bucket.keys.erase(bucket.keys.begin(),
+                      bucket.keys.begin() +
+                          static_cast<std::ptrdiff_t>(bucket.head));
     bucket.head = 0;
   }
   --size_;
   cache_valid_ = false;
   // More events may share the popped year; resuming the scan there keeps
   // the next locate O(1) in the common case.
-  search_year_ = year_of(ev.when);
+  search_year_ = year_of(key.when);
   maybe_shrink();
-  return ev;
+  return key;
 }
 
-const SimEvent* CalendarQueue::peek_min() {
+const CalendarQueue::Key* CalendarQueue::peek_min() {
   if (size_ == 0) return nullptr;
   if (!cache_valid_) locate_min();
   return &buckets_[cached_bucket_].front();
@@ -80,9 +89,9 @@ bool CalendarQueue::locate_min() {
   // Sparse tail: no event within a full calendar round. Direct-search every
   // bucket front for the global minimum and jump the scan position to it.
   ++direct_searches_;
-  const SimEvent* best = nullptr;
+  const Key* best = nullptr;
   std::size_t best_bucket = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  for (std::size_t i = 0; i <= mask_; ++i) {
     const Bucket& bucket = buckets_[i];
     if (!bucket.has_live()) continue;
     if (best == nullptr || precedes(bucket.front(), *best)) {
@@ -97,51 +106,53 @@ bool CalendarQueue::locate_min() {
 }
 
 void CalendarQueue::maybe_grow() {
-  if (size_ + 1 > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    resize_table(buckets_.size() * 2);
+  const std::size_t nbuckets = mask_ + 1;
+  if (size_ + 1 > nbuckets * 2 && nbuckets < kMaxBuckets) {
+    resize_table(nbuckets * 2);
   }
 }
 
 void CalendarQueue::maybe_shrink() {
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 8) {
-    resize_table(buckets_.size() / 2);
+  const std::size_t nbuckets = mask_ + 1;
+  if (nbuckets > kMinBuckets && size_ < nbuckets / 8) {
+    resize_table(nbuckets / 2);
   }
 }
 
 void CalendarQueue::resize_table(std::size_t new_nbuckets) {
   ++resizes_;
-  std::vector<SimEvent> all;
-  all.reserve(size_);
-  for (Bucket& bucket : buckets_) {
-    for (std::size_t i = bucket.head; i < bucket.items.size(); ++i) {
-      all.push_back(std::move(bucket.items[i]));
-    }
+  scratch_.clear();
+  for (std::size_t i = 0; i <= mask_; ++i) {
+    Bucket& bucket = buckets_[i];
+    scratch_.insert(scratch_.end(),
+                    bucket.keys.begin() +
+                        static_cast<std::ptrdiff_t>(bucket.head),
+                    bucket.keys.end());
+    bucket.clear();  // keeps the vector's capacity for the re-file below
   }
-  std::sort(all.begin(), all.end(),
-            [](const SimEvent& a, const SimEvent& b) { return precedes(a, b); });
+  std::sort(scratch_.begin(), scratch_.end(), precedes);
 
   // Re-tune the bucket width to the observed event spacing: one event per
   // bucket-year on average. Width is a power of two so bucket mapping stays
   // a shift+mask. This is a pure function of the pending set — resize
   // decisions replay identically on every run.
-  if (all.size() >= 2) {
+  if (scratch_.size() >= 2) {
     const std::uint64_t span = static_cast<std::uint64_t>(
-        all.back().when - all.front().when);
-    const std::uint64_t gap = span / (all.size() - 1);
+        scratch_.back().when - scratch_.front().when);
+    const std::uint64_t gap = span / (scratch_.size() - 1);
     shift_ = gap == 0
                  ? 0
                  : std::min(kMaxShift, static_cast<int>(std::bit_width(gap)));
   }
 
-  buckets_.clear();
-  buckets_.resize(new_nbuckets);
+  // Buckets past the old mask_ are empty (cleared when they were last
+  // active), so growing only appends the ones never used before.
+  if (new_nbuckets > buckets_.size()) buckets_.resize(new_nbuckets);
   mask_ = new_nbuckets - 1;
   cache_valid_ = false;
-  if (!all.empty()) search_year_ = year_of(all.front().when);
+  if (!scratch_.empty()) search_year_ = year_of(scratch_.front().when);
   // Globally sorted input appends in order within each bucket: O(1) each.
-  for (SimEvent& ev : all) {
-    insert(std::move(ev));
-  }
+  for (const Key& key : scratch_) insert(key);
 }
 
 }  // namespace lumina

@@ -22,8 +22,9 @@ namespace lumina {
 class InlineCallback {
  public:
   /// Inline capture budget. 48 bytes covers a `this` pointer plus several
-  /// scalars or slot handles with room to spare, while keeping the whole
-  /// event slot within one cache line.
+  /// scalars or slot handles with room to spare. With the ops pointer and
+  /// alignment padding an InlineCallback is 64 bytes; the calendar queue
+  /// parks it in a slot of its own and sorts only 24-byte keys.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineCallback() = default;

@@ -18,13 +18,9 @@ Simulator::Simulator() { prev_log_clock_ = set_log_clock(&now_); }
 Simulator::~Simulator() { set_log_clock(prev_log_clock_); }
 
 std::uint64_t Simulator::schedule_at(Tick when, Callback cb) {
-  SimEvent ev;
-  ev.when = when < now_ ? now_ : when;
-  ev.id = next_id_++;
-  ev.cb = std::move(cb);
-  const std::uint64_t id = ev.id;
+  const std::uint64_t id = next_id_++;
   ids_.on_allocated(id);
-  queue_.push(std::move(ev));
+  queue_.push(when < now_ ? now_ : when, id, std::move(cb));
   ++alive_;
   const std::size_t depth = queue_.size() + wheel_.stored();
   if (depth > max_queue_depth_) max_queue_depth_ = depth;
@@ -64,7 +60,7 @@ void Simulator::cancel(std::uint64_t event_id) {
 
 bool Simulator::locate_next(bool& timer_first, Tick& next_when) {
   for (;;) {
-    const SimEvent* head = queue_.peek_min();
+    const CalendarQueue::Key* head = queue_.peek_min();
     // Consult the wheel before popping a tombstoned head: a dead calendar
     // event is dropped only once it is the global (calendar ∪ wheel)
     // minimum, exactly when the single-queue path would lazily pop it —
@@ -79,7 +75,8 @@ bool Simulator::locate_next(bool& timer_first, Tick& next_when) {
     }
     if (head == nullptr) return false;
     if (ids_.dead(head->id)) {
-      queue_.pop_min();  // tombstoned by cancel(); drop without firing
+      // Tombstoned by cancel(): drop without firing.
+      queue_.release(queue_.pop_min().slot);
       continue;
     }
     next_when = head->when;
@@ -97,12 +94,15 @@ void Simulator::fire_due_timer() {
 }
 
 void Simulator::fire_calendar_head() {
-  SimEvent ev = queue_.pop_min();
-  ids_.kill(ev.id);  // locate_next guaranteed the head is live
+  const CalendarQueue::Key key = queue_.pop_min();
+  ids_.kill(key.id);  // locate_next guaranteed the head is live
   --alive_;
-  now_ = ev.when;
+  now_ = key.when;
   ++processed_;
-  ev.cb();
+  // The callback runs in its slot; the slot stays held (and its address
+  // fixed) until the callback returns, however much it schedules.
+  queue_.callback(key.slot)();
+  queue_.release(key.slot);
 }
 
 bool Simulator::step() {

@@ -6,7 +6,9 @@
 //
 // Hot-path internals (docs/simulator.md):
 //   - pending events live in a calendar queue tuned to the clustered
-//     timestamps links and timers produce (sim/calendar_queue.h);
+//     timestamps links and timers produce (sim/calendar_queue.h); its
+//     buckets hold (when, id, slot) keys, and each callback sits in one
+//     stable slot from schedule to fire;
 //   - callbacks are small-buffer-optimized (sim/inline_callback.h) — the
 //     common captures fire without a single heap allocation;
 //   - cancel() flips a liveness bit in a chunked id table

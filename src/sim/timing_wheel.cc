@@ -60,7 +60,7 @@ std::uint32_t TimingWheel::unlink_head(int level, std::uint32_t slot) {
   return n;
 }
 
-void TimingWheel::insert(std::uint32_t n) {
+Tick TimingWheel::insert(std::uint32_t n) {
   const Tick deadline = nodes_[n].deadline;
   const Tick delta = deadline > current_ ? deadline - current_ : 0;
   const int level = level_for(delta);
@@ -70,9 +70,11 @@ void TimingWheel::insert(std::uint32_t n) {
     // deadlines; kept for API completeness.
     overflow_.push_back(n);
     if (deadline < overflow_min_) overflow_min_ = deadline;
-    return;
+    return deadline;
   }
   link(level, slot_of(deadline, level), n);
+  const Tick window = Tick{1} << (kLevelBits * level);
+  return deadline & ~(window - 1);
 }
 
 void TimingWheel::arm(Tick deadline, std::uint64_t id, InlineCallback cb) {
@@ -87,7 +89,8 @@ void TimingWheel::arm(Tick deadline, std::uint64_t id, InlineCallback cb) {
   // peek_due stays a valid lower bound under a rewound cursor because each
   // is the minimum deadline >= current_ with its slot's bit pattern.
   if (deadline < current_) current_ = deadline;
-  insert(n);
+  const Tick window_start = insert(n);
+  if (window_start < min_bound_) min_bound_ = window_start;
   ++armed_total_;
   ++stored_;
   if (stored_ > max_stored_) max_stored_ = stored_;
@@ -153,8 +156,12 @@ void TimingWheel::flush_overflow() {
 
 bool TimingWheel::peek_due(Tick limit_when, std::uint64_t limit_id,
                            const EventIdTable& ids) {
+  if (limit_when < min_bound_) return false;
   for (;;) {
-    if (stored_ == 0) return false;
+    if (stored_ == 0) {
+      min_bound_ = kMaxTick;
+      return false;
+    }
 
     // Minimum candidate across sources: for level 0 the exact tick of the
     // nearest occupied slot; for higher levels the start of the nearest
@@ -231,11 +238,16 @@ bool TimingWheel::peek_due(Tick limit_when, std::uint64_t limit_id,
       }
     }
     if (!overflow_.empty() && overflow_min_ < best) {
-      if (overflow_min_ > limit_when) return false;
+      if (overflow_min_ > limit_when) {
+        min_bound_ = overflow_min_;
+        return false;
+      }
       if (overflow_min_ > current_) current_ = overflow_min_;
       flush_overflow();
       continue;
     }
+    // From here on overflow_min_ >= best: best bounds every stored node.
+    min_bound_ = best;
     if (best_rank < 0 || best > limit_when) return false;
 
     if (best_rank == 1) {

@@ -58,7 +58,8 @@ class TimingWheel {
   /// event in (when, id) order, reclaiming tombstoned nodes (ids dead in
   /// `ids`) that surface as the wheel minimum on the way. Returns false
   /// when no live timer precedes (limit_when, limit_id). The scan never
-  /// processes a slot beyond `limit_when`.
+  /// processes a slot beyond `limit_when`, and is skipped outright while
+  /// `limit_when` lies below the remembered lower bound (min_bound_).
   bool peek_due(Tick limit_when, std::uint64_t limit_id,
                 const EventIdTable& ids);
 
@@ -103,7 +104,11 @@ class TimingWheel {
   void free_node(std::uint32_t n);
   void link(int level, std::uint32_t slot, std::uint32_t n);
   std::uint32_t unlink_head(int level, std::uint32_t slot);
-  void insert(std::uint32_t n);
+
+  /// Files node `n` by its deadline's distance from the cursor. Returns the
+  /// start of the slot window it landed in (its deadline when parked in
+  /// overflow): what peek_due's scan can report for that slot at the least.
+  Tick insert(std::uint32_t n);
 
   /// Re-files every node of the given slot one level down (pure
   /// relocation, tombstones included) after advancing current_ to
@@ -131,6 +136,15 @@ class TimingWheel {
   /// peek_due processes slots (possibly ahead of simulated time, through
   /// tombstoned ground) and rewinds when an arm lands below it.
   Tick current_ = 0;
+
+  /// Lower bound on the minimum candidate a full peek_due scan would
+  /// compute, and so on every stored deadline. Each peek_due records its
+  /// final minimum; arm() lowers it to the start of the new node's slot
+  /// window (an arm that rewinds the cursor lands at the new cursor, below
+  /// every other candidate). A peek_due whose limit lies below it would
+  /// return false before touching any slot, so skipping that scan cannot
+  /// skip a cascade or a reclaim.
+  Tick min_bound_ = std::numeric_limits<Tick>::max();
 
   /// Staged same-tick expiries: the whole level-0 slot due at staged_tick_
   /// detached and sorted by id; popped front-first across steps.

@@ -171,6 +171,25 @@ TEST(HotPathAlloc, LossyTwoHostReadStaysWithinBudget) {
   expect_allocs_bounded(run);
 }
 
+TEST(HotPathAlloc, LossFreeTwoHostReadStaysWithinBudget) {
+  // The lossy Read above without its drops. With no recovery traffic the
+  // event queue's depth swings widely and the calendar queue grows and
+  // shrinks its bucket table many times; bucket storage that survived only
+  // until the next resize was re-grown from empty each time.
+  TestConfig cfg;
+  cfg.requester().nic_type = NicType::kCx5;
+  cfg.responder().nic_type = NicType::kCx5;
+  cfg.traffic.verb = RdmaVerb::kRead;
+  cfg.traffic.num_connections = 2;
+  cfg.traffic.num_msgs_per_qp = 100;
+  cfg.traffic.message_size = 16 * 1024;
+  cfg.traffic.mtu = 256;
+  Orchestrator orch(cfg);
+  const RunAllocs run = count_run(orch);
+  EXPECT_EQ(orch.result().switch_counters.dropped_by_event, 0u);
+  expect_allocs_bounded(run);
+}
+
 TEST(HotPathAlloc, EcnIncastStaysWithinBudget) {
   // Same-tick fan-in into one egress queue with step ECN marking: CNPs,
   // DCQCN rate updates, and deep switch FIFOs.

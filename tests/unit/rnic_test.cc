@@ -511,6 +511,65 @@ TEST_F(RnicTest, MixedWriteAndReadWqesOnOneQp) {
   EXPECT_EQ(read_resps, 3);  // 3072 B at MTU 1024
 }
 
+TEST_F(RnicTest, MixedVerbRecoveryCompletesInPostOrder) {
+  // Write, Read, Write, Read on one QP, with one packet of the second Write
+  // and one response of the second Read lost. Go-Back-N recovers the Write
+  // (NAK), the implied NAK recovers the Read, and completions still surface
+  // in post order. The responder must find the re-requested PSN in a
+  // response stream whose PSNs skip the Writes' PSNs.
+  build(NicType::kCx5, NicType::kCx5);
+  auto [rq, rs] = make_qps();  // MTU 1024, PSNs from 1000
+  // PSN layout: W1 1000-1001, R2 1002-1017, W3 1018-1020, R4 1021-1024.
+  bool write_dropped = false;
+  bool read_dropped = false;
+  wire.mutate = [&](int in_port, Packet& pkt) {
+    const auto view = parse_roce(pkt);
+    if (!view) return true;
+    if (in_port == 0 && is_write(view->bth.opcode) &&
+        view->bth.psn == 1019 && !write_dropped) {
+      write_dropped = true;
+      return false;
+    }
+    if (in_port == 1 && is_read_response(view->bth.opcode) &&
+        view->bth.psn == 1022 && !read_dropped) {
+      read_dropped = true;
+      return false;
+    }
+    return true;
+  };
+  std::vector<WorkCompletion> completions;
+  rq->set_completion_callback(
+      [&](const WorkCompletion& wc) { completions.push_back(wc); });
+  rq->post_send({1, RdmaVerb::kWrite, 2048, 0x2000, 0x22});
+  rq->post_send({2, RdmaVerb::kRead, 16384, 0x2000, 0x22});
+  rq->post_send({3, RdmaVerb::kWrite, 3072, 0x2000, 0x22});
+  rq->post_send({4, RdmaVerb::kRead, 4096, 0x2000, 0x22});
+  sim.run();
+
+  ASSERT_TRUE(write_dropped);
+  ASSERT_TRUE(read_dropped);
+  ASSERT_EQ(completions.size(), 4u);
+  for (std::size_t i = 0; i < completions.size(); ++i) {
+    EXPECT_EQ(completions[i].wr_id, i + 1);
+    EXPECT_EQ(completions[i].status, WcStatus::kSuccess);
+  }
+  // The re-request covers the second Read from its lost response on: PSN
+  // 1022 onward, the remaining three of its four MTU-sized responses.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> read_requests;
+  for (const auto& v : wire.log) {
+    if (v.bth.opcode == IbOpcode::kReadRequest && v.reth) {
+      read_requests.emplace_back(v.bth.psn, v.reth->dma_len);
+    }
+  }
+  ASSERT_FALSE(read_requests.empty());
+  EXPECT_EQ(read_requests.back().first, 1022u);
+  EXPECT_EQ(read_requests.back().second, 3072u);
+  // One NAK for the Write gap; both responses behind the lost one (1023,
+  // 1024) count as implied-NAK sequence errors.
+  EXPECT_EQ(req->counters().packet_seq_err, 1u);
+  EXPECT_EQ(req->counters().implied_nak_seq_err, 2u);
+}
+
 TEST_F(RnicTest, QpnsAreUniquePerNic) {
   build(NicType::kCx5, NicType::kCx5);
   QueuePair* a = req->create_qp({});

@@ -14,6 +14,7 @@
 // two different scheduler types through the same template executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <utility>
@@ -309,6 +310,152 @@ TEST(SimDifferential, SparseWideSpanWorkloads) {
     const Observation want = execute<ReferenceScheduler>(script);
     ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
     ASSERT_EQ(got.final_now, want.final_now) << "seed " << seed;
+  }
+}
+
+// A callback fires in its callback slot. Here callbacks with a 40-byte
+// payload (48 bytes of captures: the largest closure kept inline) each
+// schedule well over two slot chunks of events from inside themselves,
+// some of which do the same again, and only then check their payload. A
+// slot handed out again or moved while its callback runs shows up as a
+// corrupted payload, under ASan as a use-after-free.
+struct Payload {
+  std::uint64_t tag = 0;
+  std::uint64_t depth = 0;
+  std::uint64_t check[3] = {};
+
+  static Payload make(std::uint64_t tag, std::uint64_t depth) {
+    Payload p{tag, depth};
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      p.check[k] = (tag * 31 + depth * 7 + k) * 0x9e3779b97f4a7c15ULL;
+    }
+    return p;
+  }
+  bool intact() const {
+    const Payload fresh = make(tag, depth);
+    return std::equal(check, check + 3, fresh.check);
+  }
+};
+
+template <typename Scheduler>
+struct SelfScheduling {
+  static constexpr int kFanout = 300;  // > 2 chunks of 64 slots
+
+  Scheduler sched;
+  std::mt19937_64 rng;
+  std::vector<std::pair<std::uint64_t, Tick>> firings;
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint64_t> leaves;  // cancel targets; fan-outs all fire
+  int corrupted = 0;
+  int checked = 0;
+
+  explicit SelfScheduling(std::uint64_t seed) : rng(seed) {}
+
+  void schedule_fanout(Tick when, std::uint64_t tag, std::uint64_t depth) {
+    SelfScheduling* self = this;
+    const Payload payload = Payload::make(tag, depth);
+    static_assert(sizeof(self) + sizeof(payload) == 48);
+    ids.push_back(sched.schedule_at(when, [self, payload] {
+      self->fan_out(payload.tag, payload.depth);
+      ++self->checked;
+      if (!payload.intact()) ++self->corrupted;
+    }));
+  }
+
+  void fan_out(std::uint64_t tag, std::uint64_t depth) {
+    firings.emplace_back(tag, sched.now());
+    for (int i = 0; i < kFanout; ++i) {
+      const Tick delay = static_cast<Tick>(rng() % 16);  // ties galore
+      const std::uint64_t child = tag * 1000 + static_cast<std::uint64_t>(i);
+      if (depth < 2 && rng() % 97 == 0) {
+        schedule_fanout(sched.now() + delay, child, depth + 1);
+        continue;
+      }
+      ids.push_back(sched.schedule_after(delay, [this, child] {
+        firings.emplace_back(child, sched.now());
+      }));
+      leaves.push_back(ids.back());
+      if (rng() % 5 == 0) sched.cancel(leaves[rng() % leaves.size()]);
+    }
+  }
+};
+
+TEST(SimDifferential, SelfSchedulingCallbacksKeepTheirCaptures) {
+  for (int seed = 1; seed <= 20; ++seed) {
+    SelfScheduling<Simulator> got(static_cast<std::uint64_t>(seed));
+    SelfScheduling<ReferenceScheduler> want(static_cast<std::uint64_t>(seed));
+    for (std::uint64_t root = 0; root < 4; ++root) {
+      got.schedule_fanout(static_cast<Tick>(root * 3), root + 1, 0);
+      want.schedule_fanout(static_cast<Tick>(root * 3), root + 1, 0);
+    }
+    got.sched.run();
+    want.sched.run();
+
+    ASSERT_EQ(got.corrupted, 0) << "seed " << seed;
+    ASSERT_EQ(want.corrupted, 0) << "seed " << seed;
+    ASSERT_GT(got.checked, 4) << "seed " << seed;  // nested fan-outs ran
+    ASSERT_EQ(got.checked, want.checked) << "seed " << seed;
+    ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
+    ASSERT_EQ(got.ids, want.ids) << "seed " << seed;
+    ASSERT_EQ(got.sched.events_processed(), want.sched.events_processed())
+        << "seed " << seed;
+    ASSERT_EQ(got.sched.cancel_requests(), want.sched.cancel_requests())
+        << "seed " << seed;
+    ASSERT_EQ(got.sched.max_queue_depth(), want.sched.max_queue_depth())
+        << "seed " << seed;
+  }
+}
+
+// Waves of same-tick-heavy bursts, each drained before the next: every
+// wave lifts the depth from near zero past 257 pending events and back, so
+// the calendar's bucket table grows 16 -> 256 buckets (at depths 33, 65,
+// 129 and 257) and shrinks back (below 32, 16, 8 and 4) once per wave.
+// Bucket storage survives those resizes; ordering must not notice.
+TEST(SimDifferential, DepthWavesCrossResizeThresholds) {
+  constexpr int kWaves = 60;
+  for (int seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 104729);
+    Script script;
+    std::vector<int> slots;
+    Tick base = 0;
+    for (int wave = 0; wave < kWaves; ++wave) {
+      const int burst = 300 + static_cast<int>(rng() % 200);
+      for (int i = 0; i < burst; ++i) {
+        const int slot = static_cast<int>(script.body.size());
+        script.body.emplace_back();
+        // A few callbacks schedule a same-tick follow-up of their own.
+        if (rng() % 16 == 0) {
+          const int child = static_cast<int>(script.body.size());
+          script.body.emplace_back();
+          script.body[static_cast<std::size_t>(slot)].push_back(
+              Op{OpKind::kScheduleAfter, 0, child});
+          slots.push_back(child);
+        }
+        // Ties: timestamps drawn from a window narrower than the burst.
+        script.top.push_back(Op{OpKind::kScheduleAt,
+                                base + static_cast<Tick>(rng() % 64), slot});
+        slots.push_back(slot);
+        if (rng() % 6 == 0) {
+          Op cancel{OpKind::kCancelSlot};
+          cancel.target = slots[rng() % slots.size()];
+          script.top.push_back(cancel);
+        }
+      }
+      base += 64 + static_cast<Tick>(rng() % 4096);
+      script.top.push_back({OpKind::kRunUntil, base - 1});
+    }
+    script.top.push_back({OpKind::kRun});
+
+    const Observation got = execute<Simulator>(script);
+    const Observation want = execute<ReferenceScheduler>(script);
+    ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
+    ASSERT_EQ(got.ids, want.ids) << "seed " << seed;
+    ASSERT_EQ(got.final_now, want.final_now) << "seed " << seed;
+    ASSERT_EQ(got.events_processed, want.events_processed) << "seed " << seed;
+    ASSERT_EQ(got.pending_events, want.pending_events) << "seed " << seed;
+    ASSERT_EQ(got.max_queue_depth, want.max_queue_depth) << "seed " << seed;
+    ASSERT_EQ(got.cancel_requests, want.cancel_requests) << "seed " << seed;
+    ASSERT_GT(want.max_queue_depth, 257u) << "seed " << seed;
   }
 }
 

@@ -14,10 +14,12 @@
 
 #include <cstdint>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "support/reference_scheduler.h"
 
 namespace lumina {
 namespace {
@@ -177,22 +179,31 @@ struct Observation {
   std::size_t pending_events = 0;
   std::size_t max_queue_depth = 0;
   std::uint64_t cancel_requests = 0;
+  // Wheel structure (0 unless timers ran on the wheel); not compared.
+  std::uint64_t wheel_cascades = 0;
+  std::uint64_t wheel_reclaimed = 0;
 };
 
-Observation execute(const Script& script, Simulator::TimerBackend backend) {
-  Simulator sched;
-  sched.set_timer_backend(backend);
+/// Runs `script` on a Simulator whose timers live in `backend`, or on the
+/// ReferenceScheduler, which has no timer store: its timer ops are plain
+/// schedule_at/schedule_after, the semantics both backends must reproduce.
+template <typename Scheduler>
+Observation execute(const Script& script,
+                    Simulator::TimerBackend backend = {}) {
+  constexpr bool kReference = std::is_same_v<Scheduler, ReferenceScheduler>;
+  Scheduler sched;
+  if constexpr (!kReference) sched.set_timer_backend(backend);
   Observation obs;
   obs.ids.assign(script.body.size(), 0);
 
   struct Ctx {
-    Simulator& sched;
+    Scheduler& sched;
     const Script& script;
     Observation& obs;
 
     // Defined before apply(): the two are mutually recursive and apply()
     // needs callback()'s deduced return type.
-    Simulator::Callback callback(int slot) {
+    typename Scheduler::Callback callback(int slot) {
       return [this, slot] {
         obs.firings.emplace_back(slot, sched.now());
         for (const Op& op : script.body[static_cast<std::size_t>(slot)]) {
@@ -213,18 +224,18 @@ Observation execute(const Script& script, Simulator::TimerBackend backend) {
           break;
         case OpKind::kTimerAt:
           obs.ids[static_cast<std::size_t>(op.slot)] =
-              sched.schedule_timer_at(op.tick, callback(op.slot));
+              timer_at(op.tick, callback(op.slot));
           break;
         case OpKind::kTimerAfter:
           obs.ids[static_cast<std::size_t>(op.slot)] =
-              sched.schedule_timer_after(op.tick, callback(op.slot));
+              timer_after(op.tick, callback(op.slot));
           break;
         case OpKind::kRearm:
           if (op.target >= 0) {
             sched.cancel(obs.ids[static_cast<std::size_t>(op.target)]);
           }
           obs.ids[static_cast<std::size_t>(op.slot)] =
-              sched.schedule_timer_after(op.tick, callback(op.slot));
+              timer_after(op.tick, callback(op.slot));
           break;
         case OpKind::kCancelSlot:
           sched.cancel(obs.ids[static_cast<std::size_t>(op.target)]);
@@ -245,6 +256,20 @@ Observation execute(const Script& script, Simulator::TimerBackend backend) {
       }
     }
 
+    std::uint64_t timer_at(Tick when, typename Scheduler::Callback cb) {
+      if constexpr (kReference) {
+        return sched.schedule_at(when, std::move(cb));
+      } else {
+        return sched.schedule_timer_at(when, std::move(cb));
+      }
+    }
+    std::uint64_t timer_after(Tick delay, typename Scheduler::Callback cb) {
+      if constexpr (kReference) {
+        return sched.schedule_after(delay, std::move(cb));
+      } else {
+        return sched.schedule_timer_after(delay, std::move(cb));
+      }
+    }
   };
   Ctx ctx{sched, script, obs};
 
@@ -257,6 +282,10 @@ Observation execute(const Script& script, Simulator::TimerBackend backend) {
   obs.pending_events = sched.pending_events();
   obs.max_queue_depth = sched.max_queue_depth();
   obs.cancel_requests = sched.cancel_requests();
+  if constexpr (!kReference) {
+    obs.wheel_cascades = sched.timer_wheel().cascades();
+    obs.wheel_reclaimed = sched.timer_wheel().reclaimed_total();
+  }
   return obs;
 }
 
@@ -270,9 +299,9 @@ TEST(TimerDifferential, WheelMatchesPerEventTimers) {
     const Script script = gen.generate();
 
     const Observation got =
-        execute(script, Simulator::TimerBackend::kWheel);
+        execute<Simulator>(script, Simulator::TimerBackend::kWheel);
     const Observation want =
-        execute(script, Simulator::TimerBackend::kCalendar);
+        execute<Simulator>(script, Simulator::TimerBackend::kCalendar);
 
     ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
     ASSERT_EQ(got.ids, want.ids) << "seed " << seed;
@@ -350,6 +379,131 @@ TEST(TimerDifferential, SteadyStateChurnMatches) {
   EXPECT_EQ(std::get<2>(got), std::get<2>(want));
   EXPECT_EQ(std::get<3>(got), std::get<3>(want));
   EXPECT_EQ(std::get<4>(got), std::get<4>(want));
+}
+
+// Scripts aimed at the wheel's remembered lower bound. Each round arms a
+// cluster of long timers, then puts calendar events both well before them
+// (the wheel answers "nothing due" from its bound, while their callbacks
+// re-arm short timers below it) and well after them (timers cascade and
+// fire first). Cancels leave tombstones that the wheel reclaims ahead of
+// simulated time when a run_until stop falls short of the next calendar
+// head, so the arms that follow the stop land below the wheel's cursor and
+// rewind it.
+Script bound_script(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Script s;
+  std::vector<int> timers;
+  auto new_slot = [&s] {
+    s.body.emplace_back();
+    return static_cast<int>(s.body.size() - 1);
+  };
+  auto random_timer = [&] { return timers[rng() % timers.size()]; };
+  Tick base = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t first_of_round = timers.size();
+    const int long_timers = 4 + static_cast<int>(rng() % 12);
+    for (int i = 0; i < long_timers; ++i) {
+      const Tick out = 50'000 + static_cast<Tick>(rng() % 2'000'000);
+      Op op{OpKind::kTimerAt, base + out, new_slot()};
+      if (!timers.empty() && rng() % 3 == 0) {
+        op.kind = OpKind::kRearm;  // relative to now, which is <= base
+        op.tick = out;
+        op.target = random_timer();
+      }
+      s.top.push_back(op);
+      timers.push_back(op.slot);
+    }
+    const int early = 8 + static_cast<int>(rng() % 24);
+    for (int i = 0; i < early; ++i) {
+      const int slot = new_slot();
+      const int body_ops = 1 + static_cast<int>(rng() % 3);
+      for (int k = 0; k < body_ops; ++k) {
+        Op op;
+        switch (rng() % 4) {
+          case 0:
+          case 1:
+            op = Op{OpKind::kRearm, 1 + static_cast<Tick>(rng() % 5000),
+                    new_slot(), random_timer()};
+            timers.push_back(op.slot);
+            break;
+          case 2:
+            op = Op{OpKind::kCancelSlot};
+            op.target = random_timer();
+            break;
+          default:
+            op = Op{OpKind::kScheduleAfter, static_cast<Tick>(rng() % 2000),
+                    new_slot()};
+        }
+        s.body[static_cast<std::size_t>(slot)].push_back(op);
+      }
+      s.top.push_back(
+          Op{OpKind::kScheduleAt, base + static_cast<Tick>(rng() % 10'000),
+             slot});
+    }
+    const int late = 1 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < late; ++i) {
+      const int slot = new_slot();
+      if (rng() % 2 == 0) {
+        const Op op{OpKind::kTimerAfter, static_cast<Tick>(rng() % 100'000),
+                    new_slot()};
+        s.body[static_cast<std::size_t>(slot)].push_back(op);
+        timers.push_back(op.slot);
+      }
+      s.top.push_back(Op{OpKind::kScheduleAt,
+                         base + 5'000'000 + static_cast<Tick>(rng() % 5'000'000),
+                         slot});
+    }
+    for (std::size_t i = first_of_round; i < timers.size(); ++i) {
+      if (rng() % 3 != 0) continue;
+      Op cancel{OpKind::kCancelSlot};
+      cancel.target = timers[i];
+      s.top.push_back(cancel);
+    }
+    s.top.push_back(
+        {OpKind::kRunUntil, base + 20'000 + static_cast<Tick>(rng() % 3'000'000)});
+    const int after_stop = 1 + static_cast<int>(rng() % 3);
+    for (int i = 0; i < after_stop; ++i) {
+      const Op op{OpKind::kTimerAfter, static_cast<Tick>(rng() % 20'000),
+                  new_slot()};
+      s.top.push_back(op);
+      timers.push_back(op.slot);
+    }
+    base += 10'000'000;
+  }
+  s.top.push_back({OpKind::kRun});
+  return s;
+}
+
+TEST(TimerDifferential, RememberedBoundMatchesReference) {
+  std::uint64_t cascades = 0;
+  std::uint64_t reclaimed = 0;
+  for (int seed = 1; seed <= 200; ++seed) {
+    const Script script =
+        bound_script(static_cast<std::uint64_t>(seed) * 0x94d049bb133111ebULL);
+    const Observation wheel =
+        execute<Simulator>(script, Simulator::TimerBackend::kWheel);
+    const Observation calendar =
+        execute<Simulator>(script, Simulator::TimerBackend::kCalendar);
+    const Observation want = execute<ReferenceScheduler>(script);
+
+    for (const Observation* got : {&wheel, &calendar}) {
+      ASSERT_EQ(got->firings, want.firings) << "seed " << seed;
+      ASSERT_EQ(got->ids, want.ids) << "seed " << seed;
+      ASSERT_EQ(got->final_now, want.final_now) << "seed " << seed;
+      ASSERT_EQ(got->events_processed, want.events_processed)
+          << "seed " << seed;
+      ASSERT_EQ(got->pending_events, want.pending_events) << "seed " << seed;
+      ASSERT_EQ(got->max_queue_depth, want.max_queue_depth)
+          << "seed " << seed;
+      ASSERT_EQ(got->cancel_requests, want.cancel_requests)
+          << "seed " << seed;
+    }
+    cascades += wheel.wheel_cascades;
+    reclaimed += wheel.wheel_reclaimed;
+  }
+  // Guard against scripts that never reach the wheel's slow paths.
+  EXPECT_GT(cascades, 1'000u);
+  EXPECT_GT(reclaimed, 1'000u);
 }
 
 }  // namespace
