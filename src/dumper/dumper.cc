@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "packet/packet_arena.h"
+#include "packet/bytes.h"
 #include "packet/pcap_writer.h"
 
 namespace lumina {
@@ -16,6 +16,38 @@ std::uint32_t rss_hash(const RoceView& v) {
   h = h * 0x9e3779b97f4a7c15ULL + v.udp_dst_port;
   h ^= h >> 33;
   return static_cast<std::uint32_t>(h);
+}
+
+/// Fills `record` from `pkt`: the first `trim_bytes` bytes with the UDP
+/// destination port restored (§3.4), the mirror metadata, the original
+/// length, and the view under Packet::clone_into's trim rules — a cached
+/// view of identical bytes is kept as is, a full view whose headers
+/// survive the cut is kept with iCRC 0 (what the trimmed parser reports),
+/// and anything else is decoded from the copied bytes.
+void write_record(const Packet& pkt, std::size_t trim_bytes,
+                  TracePacket& record) {
+  const std::size_t n = std::min(pkt.size(), trim_bytes);
+  record.pkt.bytes.assign(pkt.bytes.begin(),
+                          pkt.bytes.begin() + static_cast<std::ptrdiff_t>(n));
+  if (n >= off::kUdpDstPort + 2) {
+    poke_u16(record.pkt.bytes, off::kUdpDstPort, kRoceUdpPort);
+  }
+  record.meta = extract_mirror_meta(pkt);
+  record.orig_len = pkt.size();
+
+  const bool whole = n == pkt.size();
+  const bool full = pkt.view_state == ViewCacheState::kFull;
+  if ((full && (whole || n >= pkt.view.payload_offset)) ||
+      (whole && pkt.view_state == ViewCacheState::kTrimmed)) {
+    record.view = pkt.view;
+    if (!whole) record.view.icrc = 0;
+    record.view.udp_dst_port = kRoceUdpPort;  // the headers hold the port
+    record.has_view = true;
+    return;
+  }
+  const auto view = parse_roce_bytes(record.pkt.span(), /*allow_trimmed=*/true);
+  record.has_view = view.has_value();
+  if (view) record.view = *view;
 }
 
 }  // namespace
@@ -73,8 +105,8 @@ struct DumperPipeline {
     TrafficDumper& dumper_;
   };
 
-  /// Trim + store: copies the trimmed headers into the capture store (or
-  /// moves small frames whole) along with the embedded mirror metadata.
+  /// Trim + store: writes each frame's capture record into the store
+  /// (write_record); the wire buffer stays in the slot and recycles.
   class Capture : public pipeline::Stage {
    public:
     explicit Capture(TrafficDumper& dumper) : dumper_(dumper) {}
@@ -86,22 +118,9 @@ struct DumperPipeline {
       TrafficDumper& d = dumper_;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (!batch.live(i)) continue;
-        Packet& pkt = batch.pkt(i);
-        DumpedPacket dumped;
-        dumped.orig_len = pkt.size();
-        dumped.captured_at = batch.meta(i).ingress_ts;
-        dumped.meta = extract_mirror_meta(pkt);
-        if (pkt.size() > d.options_.trim_bytes) {
-          // Copy the trimmed headers out so the full-size wire buffer
-          // recycles instead of being pinned in the capture store for the
-          // whole run. (Deliberately not arena-backed: the copy lives in
-          // the store for the rest of the run, so recycled capacity would
-          // just be pinned.)
-          pkt.clone_into(dumped.pkt, d.options_.trim_bytes);
-        } else {
-          dumped.pkt = std::move(pkt);
-        }
-        d.packets_.push_back(std::move(dumped));
+        TracePacket& record = d.store_->emplace_back();
+        write_record(batch.pkt(i), d.options_.trim_bytes, record);
+        record.captured_at = batch.meta(i).ingress_ts;
         ++d.counters_.captured;
         batch.consume(i);
       }
@@ -117,12 +136,14 @@ struct DumperPipeline {
   }
 };
 
-TrafficDumper::TrafficDumper(Simulator* sim, std::string name, Options options)
+TrafficDumper::TrafficDumper(Simulator* sim, std::string name, Options options,
+                             CaptureStore* store)
     : sim_(sim),
       name_(std::move(name)),
       options_(options),
       port_(std::make_unique<Port>(sim, this, 0)),
-      core_busy_until_(static_cast<std::size_t>(std::max(1, options.cores)), 0) {
+      core_busy_until_(static_cast<std::size_t>(std::max(1, options.cores)), 0),
+      store_(store != nullptr ? store : &own_store_) {
   DumperPipeline::build(*this, rx_pipeline_);
 }
 
@@ -134,29 +155,17 @@ void TrafficDumper::handle_packet(int in_port, Packet pkt) {
 
 void TrafficDumper::handle_batch(pipeline::PacketBatch& batch) {
   rx_pipeline_.run(batch);
-  // Discard paths and trim-copies leave the wire buffer in the slot;
-  // untrimmed captures move the frame into the store first (reclaim
-  // no-ops on those).
+  // Captures copy what they keep, so every wire buffer (captured or
+  // discarded) is still in its slot and recycles here.
   batch.reclaim();
-}
-
-void TrafficDumper::terminate() {
-  if (terminated_) return;
-  terminated_ = true;
-  // §3.4: before writing to disk, the previously randomized UDP
-  // destination port is reverted to 4791.
-  for (auto& dumped : packets_) {
-    if (dumped.pkt.size() >= off::kUdpDstPort + 2) {
-      restore_roce_udp_port(dumped.pkt);
-    }
-  }
 }
 
 bool TrafficDumper::write_pcap(const std::string& path) const {
   PcapWriter writer;
   if (!writer.open(path)) return false;
-  for (const auto& dumped : packets_) {
-    if (!writer.write(dumped.pkt, dumped.captured_at, dumped.orig_len)) {
+  for (const auto& record : *store_) {
+    if (!writer.write(record.pkt.span(), record.captured_at,
+                      record.orig_len)) {
       return false;
     }
   }

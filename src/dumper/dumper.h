@@ -8,17 +8,19 @@
 // two-host design). Because the mirror engine randomizes the UDP
 // destination port, RSS spreads even a single flow across all cores.
 //
-// On TERM the dumper restores the UDP destination port of every captured
-// packet to 4791 and can persist the capture as a pcap file.
+// Each captured frame is written once, as its final capture record
+// (dumper/capture.h): the trimmed bytes with the UDP destination port
+// reverted to 4791 (§3.4, done at copy time rather than at TERM), the
+// parse view, the mirror metadata, and the original length. TERM stops
+// capture; the records can be persisted as a pcap file.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "injector/mirror.h"
+#include "dumper/capture.h"
 #include "net/node.h"
 #include "pipeline/stage.h"
 #include "sim/simulator.h"
@@ -28,13 +30,6 @@ namespace lumina {
 /// Assembles the dumper's rx pipeline (defined in dumper.cc): admit ->
 /// capture.
 struct DumperPipeline;
-
-struct DumpedPacket {
-  Packet pkt;              ///< Trimmed copy (headers only).
-  std::size_t orig_len = 0;
-  Tick captured_at = 0;    ///< Host capture time (not the switch timestamp).
-  MirrorMeta meta;         ///< Metadata embedded by the mirror engine.
-};
 
 struct DumperCounters {
   std::uint64_t received = 0;
@@ -51,7 +46,11 @@ class TrafficDumper : public Node {
     std::size_t trim_bytes = 128;    ///< §5: first 128 B carry all headers.
   };
 
-  TrafficDumper(Simulator* sim, std::string name, Options options);
+  /// Captures go to `store` when given (a testbed passes one store to its
+  /// whole pool, so every member appends to the same vector in arrival
+  /// order); otherwise the dumper keeps a store of its own.
+  TrafficDumper(Simulator* sim, std::string name, Options options,
+                CaptureStore* store = nullptr);
 
   Port& port() { return *port_; }
 
@@ -66,18 +65,15 @@ class TrafficDumper : public Node {
   const pipeline::StageChain& rx_pipeline() const { return rx_pipeline_; }
   pipeline::StageChain& rx_pipeline() { return rx_pipeline_; }
 
-  /// TERM from the orchestrator: restores UDP ports on captured packets.
-  void terminate();
+  /// TERM from the orchestrator: later arrivals are no longer captured.
+  void terminate() { terminated_ = true; }
 
-  const std::vector<DumpedPacket>& packets() const { return packets_; }
-  /// Moves the capture store out (the orchestrator's trace merge); the
-  /// dumper is left with no captures. Counters are unaffected.
-  std::vector<DumpedPacket> take_packets() {
-    return std::exchange(packets_, {});
-  }
+  /// The capture store this dumper appends to (shared by a testbed's whole
+  /// pool, so it then holds every member's records).
+  const CaptureStore& packets() const { return *store_; }
   const DumperCounters& counters() const { return counters_; }
 
-  /// Writes captured (trimmed) packets to a pcap file.
+  /// Writes the capture store's (trimmed) packets to a pcap file.
   bool write_pcap(const std::string& path) const;
 
  private:
@@ -90,7 +86,8 @@ class TrafficDumper : public Node {
   pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.
   std::unique_ptr<Port> port_;
   std::vector<Tick> core_busy_until_;
-  std::vector<DumpedPacket> packets_;
+  CaptureStore own_store_;  ///< Used when no shared store was given.
+  CaptureStore* store_;
   DumperCounters counters_;
   bool terminated_ = false;
 };

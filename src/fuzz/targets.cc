@@ -570,10 +570,10 @@ PipelineDifferentialOutcome run_pipeline_differential(std::uint64_t seed,
       record_pipeline_mismatch(out, it, "dumper capture counts diverged");
     } else {
       for (std::size_t j = 0; j < dumper_a.packets().size(); ++j) {
-        const DumpedPacket& pa = dumper_a.packets()[j];
-        const DumpedPacket& pb = dumper_b.packets()[j];
-        if (pa.pkt.bytes != pb.pkt.bytes || pa.orig_len != pb.orig_len ||
-            pa.captured_at != pb.captured_at) {
+        const TracePacket& pa = dumper_a.packets()[j];
+        const TracePacket& pb = dumper_b.packets()[j];
+        if (pa.pkt.bytes != pb.pkt.bytes || pa.view != pb.view ||
+            pa.orig_len != pb.orig_len || pa.captured_at != pb.captured_at) {
           record_pipeline_mismatch(
               out, it, "dumper capture " + std::to_string(j) + " diverged");
           break;

@@ -1,21 +1,8 @@
 #include "orchestrator/orchestrator.h"
 
-#include <algorithm>
-#include <iterator>
-#include <sstream>
-
 #include "util/logging.h"
 
 namespace lumina {
-
-std::string IntegrityReport::to_string() const {
-  std::ostringstream out;
-  out << (ok() ? "OK" : "FAILED") << " (trace=" << trace_packets
-      << ", mirrored=" << injector_mirrored << ", roce_rx=" << injector_roce_rx
-      << ", consecutive=" << (seqnums_consecutive ? "yes" : "no")
-      << ", missing=" << missing_seqnums << ")";
-  return out.str();
-}
 
 Orchestrator::Orchestrator(TestConfig config)
     : Orchestrator(std::move(config), Options{}) {}
@@ -131,34 +118,15 @@ const TestResult& Orchestrator::run() {
 
 void Orchestrator::collect_results() {
   EventInjectorSwitch& injector = testbed_->injector();
-  // TERM all dumpers and take their captures (moved, not copied), then
-  // merge by mirror sequence number. The sort runs over a (mirror_seq,
-  // index) key array, so each frame moves into the trace exactly once.
-  std::vector<DumpedPacket> captures;
-  for (auto& dumper : testbed_->dumpers()) {
-    dumper->terminate();
-    std::vector<DumpedPacket> taken = dumper->take_packets();
-    captures.insert(captures.end(), std::make_move_iterator(taken.begin()),
-                    std::make_move_iterator(taken.end()));
-  }
-  std::vector<std::pair<std::uint64_t, std::size_t>> order;
-  order.reserve(captures.size());
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    order.emplace_back(captures[i].meta.mirror_seq, i);
-  }
-  std::sort(order.begin(), order.end());
-  std::vector<TracePacket> packets;
-  packets.reserve(captures.size());
-  for (const auto& [seq, i] : order) {
-    DumpedPacket& dumped = captures[i];
-    const auto view = parse_roce(dumped.pkt, /*allow_trimmed=*/true);
-    if (!view) continue;
-    TracePacket& tp = packets.emplace_back();
-    tp.pkt = std::move(dumped.pkt);
-    tp.view = *view;
-    tp.meta = dumped.meta;
-    tp.orig_len = dumped.orig_len;
-  }
+  // TERM the pool and take its shared capture store (moved, not copied).
+  // Each record was written once, at capture: trimmed, UDP port restored,
+  // view seeded from the frame's cache. What is left is dropping records
+  // the trimmed parser rejects and restoring mirror order, both in place;
+  // records already in order are not touched.
+  for (auto& dumper : testbed_->dumpers()) dumper->terminate();
+  CaptureStore packets = std::move(testbed_->captures());
+  std::erase_if(packets, [](const TracePacket& p) { return !p.has_view; });
+  restore_mirror_order(packets);
   // Join the injector's delay-release log: analyzers that replay the trace
   // in receiver order (gbn_fsm) need to know when a delay-held packet
   // actually left the switch.

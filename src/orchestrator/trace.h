@@ -1,47 +1,18 @@
 // Reconstructed packet trace (§3.5).
 //
-// The orchestrator merges the packets captured by every traffic dumper and
-// sorts them by the mirror sequence number the event injector embedded —
-// no clock synchronization is needed because every timestamp comes from
-// the single switch clock.
+// The orchestrator takes the capture records of the whole dumper pool
+// (dumper/capture.h) and orders them by the mirror sequence number the
+// event injector embedded — no clock synchronization is needed because
+// every timestamp comes from the single switch clock.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "injector/event_table.h"
-#include "injector/mirror.h"
-#include "packet/roce_packet.h"
-#include "util/time.h"
+#include "dumper/capture.h"
 
 namespace lumina {
-
-struct TracePacket {
-  Packet pkt;      ///< Trimmed capture, UDP port restored.
-  RoceView view;   ///< Parsed headers.
-  MirrorMeta meta; ///< mirror_seq / switch ingress timestamp / event type.
-  std::size_t orig_len = 0;
-  /// Departure time of a packet a `delay` event held at the switch
-  /// (ingress timestamp + injected hold, stamped by the orchestrator from
-  /// the injector's release log); 0 for packets that left on the normal
-  /// pipeline schedule.
-  Tick released_at = 0;
-
-  Tick time() const { return meta.ingress_timestamp; }
-  /// When the receiver actually saw this packet, modulo the constant
-  /// pipeline + link latency every packet shares: the release time for
-  /// delay-held packets, the ingress timestamp otherwise. Replaying a
-  /// trace in (effective_time, mirror_seq) order reproduces the receiver's
-  /// view — identical to mirror order on delay-free traces.
-  Tick effective_time() const {
-    return released_at > 0 ? released_at : meta.ingress_timestamp;
-  }
-  bool is_data() const { return is_data_opcode(view.bth.opcode); }
-  FlowKey flow() const {
-    return FlowKey{view.src_ip, view.dst_ip, view.bth.dest_qpn};
-  }
-};
 
 /// The §3.5 integrity check: all three conditions must hold before a trace
 /// is admitted for analysis.
@@ -60,6 +31,15 @@ struct IntegrityReport {
   }
   std::string to_string() const;
 };
+
+/// Sorts capture records by mirror sequence number in place; records with
+/// equal numbers keep their store order. Dumper arrivals are nearly in
+/// mirror order already, so only displaced records move (each moves back
+/// past the records mirrored after it). Once that displacement exceeds the
+/// record count the rest of the work goes to an O(n log n) key sort that
+/// permutes the records in place; either way no second record-sized
+/// buffer is allocated. Returns true when the key sort ran.
+bool restore_mirror_order(CaptureStore& records);
 
 struct PacketTrace {
   std::vector<TracePacket> packets;  ///< Sorted by mirror sequence number.

@@ -4,7 +4,9 @@
 // can be inspected with tcpdump/wireshark, matching the real Lumina flow.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "packet/roce_packet.h"
@@ -25,7 +27,11 @@ class PcapWriter {
 
   /// Appends one packet with the given capture timestamp. `orig_len` lets
   /// trimmed packets record their true on-wire length.
-  bool write(const Packet& pkt, Tick timestamp, std::size_t orig_len = 0);
+  bool write(std::span<const std::uint8_t> bytes, Tick timestamp,
+             std::size_t orig_len = 0);
+  bool write(const Packet& pkt, Tick timestamp, std::size_t orig_len = 0) {
+    return write(pkt.span(), timestamp, orig_len);
+  }
 
   void close();
   bool is_open() const { return file_ != nullptr; }

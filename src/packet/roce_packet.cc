@@ -46,9 +46,9 @@ bool view_cached(const Packet& pkt) {
 
 /// The actual decoder. `short_frame` reports whether the frame is shorter
 /// than the IP total length (success then required allow_trimmed).
-std::optional<RoceView> decode_roce(const Packet& pkt, bool allow_trimmed,
-                                    bool* short_frame) {
-  ByteReader r(pkt.span());
+std::optional<RoceView> decode_roce(std::span<const std::uint8_t> frame,
+                                    bool allow_trimmed, bool* short_frame) {
+  ByteReader r(frame);
   RoceView v;
   *short_frame = false;
 
@@ -69,8 +69,8 @@ std::optional<RoceView> decode_roce(const Packet& pkt, bool allow_trimmed,
   v.src_ip.value = r.u32();
   v.dst_ip.value = r.u32();
   const std::size_t declared_size = total_len + 14u;
-  if (declared_size != pkt.size() &&
-      !(allow_trimmed && declared_size > pkt.size())) {
+  if (declared_size != frame.size() &&
+      !(allow_trimmed && declared_size > frame.size())) {
     return std::nullopt;
   }
   // UDP.
@@ -119,10 +119,10 @@ std::optional<RoceView> decode_roce(const Packet& pkt, bool allow_trimmed,
   if (!r.ok()) return std::nullopt;
 
   v.payload_offset = r.offset();
-  if (declared_size == pkt.size()) {
+  if (declared_size == frame.size()) {
     if (r.remaining() < 4) return std::nullopt;
     v.payload_len = r.remaining() - 4;
-    ByteReader tail(pkt.span().subspan(pkt.size() - 4));
+    ByteReader tail(frame.subspan(frame.size() - 4));
     v.icrc = tail.u32();
   } else {
     // Trimmed capture: derive the payload length from the IP header.
@@ -138,7 +138,7 @@ std::optional<RoceView> decode_roce(const Packet& pkt, bool allow_trimmed,
 std::optional<RoceView> decode_and_cache(const Packet& pkt,
                                          bool allow_trimmed) {
   bool short_frame = false;
-  const auto v = decode_roce(pkt, allow_trimmed, &short_frame);
+  const auto v = decode_roce(pkt.span(), allow_trimmed, &short_frame);
   if (v) {
     pkt.view = *v;
     pkt.view_state =
@@ -295,6 +295,12 @@ std::optional<RoceView> parse_roce(const Packet& pkt, bool allow_trimmed) {
       break;
   }
   return decode_and_cache(pkt, allow_trimmed);
+}
+
+std::optional<RoceView> parse_roce_bytes(std::span<const std::uint8_t> bytes,
+                                         bool allow_trimmed) {
+  bool short_frame = false;
+  return decode_roce(bytes, allow_trimmed, &short_frame);
 }
 
 bool verify_icrc(const Packet& pkt) {

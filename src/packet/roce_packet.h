@@ -217,6 +217,12 @@ Packet build_roce_packet(const RocePacketSpec& spec);
 std::optional<RoceView> parse_roce(const Packet& pkt,
                                    bool allow_trimmed = false);
 
+/// Decodes raw frame bytes with parse_roce's rules, without a view cache
+/// to consult or fill (a capture record whose copied bytes no cached view
+/// describes).
+std::optional<RoceView> parse_roce_bytes(std::span<const std::uint8_t> bytes,
+                                         bool allow_trimmed = false);
+
 /// Recomputes and verifies the trailing iCRC. Corrupted packets fail.
 bool verify_icrc(const Packet& pkt);
 

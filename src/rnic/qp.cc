@@ -578,12 +578,14 @@ void QueuePair::responder_handle_read_request(const RoceView& view) {
       resp_next_ = index;
       // The re-request carries the remaining length from an advanced
       // vaddr; the response descriptors for that range already exist, but
-      // their first-packet opcode must be valid from the rewind point.
-      resp_descs_[resp_next_].opcode =
-          resp_descs_[resp_next_].opcode == IbOpcode::kReadRespLast ||
-                  index + 1 == resp_descs_.size()
-              ? IbOpcode::kReadRespOnly
-              : IbOpcode::kReadRespFirst;
+      // their first-packet opcode must be valid from the rewind point: a
+      // message's last packet resent alone is a complete message (Only),
+      // anything before it starts a shorter one (First).
+      RespDesc& first = resp_descs_[resp_next_];
+      first.opcode = first.opcode == IbOpcode::kReadRespLast ||
+                             first.opcode == IbOpcode::kReadRespOnly
+                         ? IbOpcode::kReadRespOnly
+                         : IbOpcode::kReadRespFirst;
       const Tick now = rnic_->sim()->now();
       resp_hold_until_ = std::max(
           resp_hold_until_, now + rnic_->profile().nack_react_delay_read);
@@ -846,12 +848,25 @@ void QueuePair::complete_wqe(std::size_t index, WcStatus status) {
   Wqe& wqe = wqes_[index];
   if (wqe.completed) return;
   wqe.completed = true;
-  const WorkCompletion wc{wqe.wr.wr_id, status, rnic_->sim()->now(),
-                          wqe.atomic_original};
+  wqe.status = status;
   // Before delivery: the completion callback may post (and reallocate
   // wqes_) or re-enter the QP.
   advance_wqe_cursors();
-  deliver_completion(wc);
+  deliver_completions();
+}
+
+void QueuePair::deliver_completions() {
+  // One send queue completes in post order (IBTA): a WQE the transport
+  // finished early (a Read whose responses beat an older Write's ACK)
+  // waits here until every older WQE has completed. The cursor moves
+  // before each delivery, so a callback that re-enters the QP never
+  // delivers the same WQE twice.
+  while (next_completion_ < wqes_.size() &&
+         wqes_[next_completion_].completed) {
+    const Wqe& wqe = wqes_[next_completion_++];
+    deliver_completion({wqe.wr.wr_id, wqe.status, rnic_->sim()->now(),
+                        wqe.atomic_original});
+  }
 }
 
 void QueuePair::advance_wqe_cursors() {

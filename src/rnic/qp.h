@@ -136,7 +136,10 @@ class QueuePair {
     std::uint32_t start_psn = 0;
     std::uint32_t n_pkts = 0;       ///< Data packets (or read responses).
     std::uint32_t pkts_done = 0;    ///< Read responses received in order.
+    /// The transport finished this WQE; its completion is delivered once
+    /// every older WQE has completed too (post order).
     bool completed = false;
+    WcStatus status = WcStatus::kSuccess;
     Tick posted_at = 0;
     std::uint64_t atomic_original = 0;  ///< Filled by the AtomicAck.
   };
@@ -145,6 +148,7 @@ class QueuePair {
   void packetize(Wqe& wqe);
   void complete_wqe(std::size_t index, WcStatus status);
   void advance_wqe_cursors();
+  void deliver_completions();
   void deliver_completion(const WorkCompletion& wc);
   void advance_snd_una(std::uint32_t acked_psn);
   void start_rewind(std::uint32_t psn, Tick extra_hold);
@@ -190,6 +194,8 @@ class QueuePair {
   /// becomes incomplete again and never changes verb.
   std::size_t oldest_read_ = 0;
   std::size_t oldest_other_ = 0;
+  /// Oldest WQE whose completion has not been delivered yet.
+  std::size_t next_completion_ = 0;
   std::vector<TxDesc> tx_descs_;
   std::size_t snd_nxt_ = 0;      ///< Next TX desc index to transmit.
   std::size_t snd_una_ = 0;      ///< First unacknowledged desc index.

@@ -10,9 +10,10 @@
 // dumper options, and the link parameters. The Testbed builder owns *how
 // it is wired*: it instantiates one RNIC per host, connects host i to
 // switch port i, programs an L3 route for every host GID, attaches the
-// dumper pool behind the hosts, and hands each NIC a dense telemetry
-// track (telemetry::nic_track). Experiment drivers (Orchestrator) run on
-// top of a Testbed and stay topology-agnostic (docs/topology.md).
+// dumper pool (one capture store shared by all members) behind the hosts,
+// and hands each NIC a dense telemetry track (telemetry::nic_track).
+// Experiment drivers (Orchestrator) run on top of a Testbed and stay
+// topology-agnostic (docs/topology.md).
 #pragma once
 
 #include <memory>
@@ -66,6 +67,9 @@ class Testbed {
   int dumper_port(int dumper) const { return num_hosts() + dumper; }
 
   std::vector<std::unique_ptr<TrafficDumper>>& dumpers() { return dumpers_; }
+  /// The dumper pool's shared capture store: every member's records, in
+  /// arrival order (dumper/capture.h).
+  CaptureStore& captures() { return captures_; }
   const TestbedSpec& spec() const { return spec_; }
 
   /// Null when TestbedSpec::enable_telemetry is false.
@@ -85,6 +89,7 @@ class Testbed {
   Simulator sim_;
   std::unique_ptr<EventInjectorSwitch> switch_;
   std::vector<std::unique_ptr<Rnic>> nics_;
+  CaptureStore captures_;  ///< Outlives the dumpers that append to it.
   std::vector<std::unique_ptr<TrafficDumper>> dumpers_;
 };
 

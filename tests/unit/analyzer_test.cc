@@ -112,13 +112,14 @@ class TraceBuilder {
   }
 
   void push(const RocePacketSpec& spec, Tick t, EventType event) {
+    Packet pkt = build_roce_packet(spec);
     TracePacket tp;
-    tp.pkt = build_roce_packet(spec);
-    tp.view = *parse_roce(tp.pkt);
+    tp.view = *parse_roce(pkt);
     tp.meta.mirror_seq = seq_++;
     tp.meta.ingress_timestamp = t;
     tp.meta.event = event;
-    tp.orig_len = tp.pkt.size();
+    tp.orig_len = pkt.size();
+    tp.pkt.bytes = std::move(pkt.bytes);
     trace_.packets.push_back(std::move(tp));
   }
 

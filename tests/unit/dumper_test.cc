@@ -1,5 +1,6 @@
 // Unit tests for the traffic dumper: RSS spreading, per-core capacity and
-// overflow, packet trimming, TERM handling, and pcap persistence.
+// overflow, packet trimming and capture records, TERM handling, the
+// pool's shared store, and pcap persistence.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -64,17 +65,80 @@ TEST(Dumper, TrimsTo128BytesKeepingOriginalLength) {
   ASSERT_EQ(dumper.packets().size(), 1u);
   EXPECT_EQ(dumper.packets()[0].pkt.size(), 128u);
   EXPECT_EQ(dumper.packets()[0].orig_len, orig);
-  // Headers still parse from the trimmed capture.
-  const auto view = parse_roce(dumper.packets()[0].pkt, true);
+  // Headers still parse from the trimmed capture, and the record's view
+  // (taken from the wire frame's cache) is exactly that parse.
+  const TracePacket& record = dumper.packets()[0];
+  const auto view = parse_roce_bytes(record.pkt.span(), true);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->payload_len, 4096u);
+  EXPECT_EQ(view->icrc, 0u);
+  ASSERT_TRUE(record.has_view);
+  EXPECT_EQ(record.view, *view);
 }
 
 TEST(Dumper, SmallPacketsNotPadded) {
   Simulator sim;
   TrafficDumper dumper(&sim, "d0", {});
-  dumper.handle_packet(0, mirrored_packet(0, 0, 4000, 8));
-  EXPECT_LT(dumper.packets()[0].pkt.size(), 128u);
+  const Packet small = mirrored_packet(0, 0, 4000, 8);
+  dumper.handle_packet(0, small);
+  const TracePacket& record = dumper.packets()[0];
+  EXPECT_LT(record.pkt.size(), 128u);
+  EXPECT_EQ(record.orig_len, small.size());
+  // A whole frame keeps its full view, iCRC included.
+  const auto view = parse_roce_bytes(record.pkt.span());
+  ASSERT_TRUE(view.has_value());
+  EXPECT_NE(view->icrc, 0u);
+  EXPECT_EQ(record.view, *view);
+}
+
+TEST(Dumper, CaptureRestoresUdpPortBeforeTerm) {
+  // The port goes back to 4791 when the record is written (§3.4), so the
+  // capture store never holds a randomized port.
+  Simulator sim;
+  TrafficDumper dumper(&sim, "d0", {});
+  dumper.handle_packet(0, mirrored_packet(0, 0, 31337));
+  dumper.handle_packet(0, mirrored_packet(1, 10, 31337, 8));
+  ASSERT_EQ(dumper.packets().size(), 2u);
+  for (const TracePacket& record : dumper.packets()) {
+    const auto view = parse_roce_bytes(record.pkt.span(), true);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->udp_dst_port, kRoceUdpPort);
+    EXPECT_EQ(record.view.udp_dst_port, kRoceUdpPort);
+  }
+}
+
+TEST(Dumper, TrimShorterThanHeadersLeavesRecordWithoutView) {
+  // A trim that cuts into the BTH leaves bytes no parser accepts: the
+  // record is kept (and counted) but flagged, and the trace skips it.
+  Simulator sim;
+  TrafficDumper::Options options;
+  options.trim_bytes = 48;
+  TrafficDumper dumper(&sim, "d0", options);
+  dumper.handle_packet(0, mirrored_packet(3, 0, 4000));
+  ASSERT_EQ(dumper.packets().size(), 1u);
+  EXPECT_EQ(dumper.packets()[0].pkt.size(), 48u);
+  EXPECT_FALSE(dumper.packets()[0].has_view);
+  EXPECT_EQ(dumper.packets()[0].meta.mirror_seq, 3u);
+  EXPECT_EQ(dumper.counters().captured, 1u);
+}
+
+TEST(Dumper, PoolMembersShareOneStore) {
+  Simulator sim;
+  CaptureStore store;
+  TrafficDumper a(&sim, "d0", {}, &store);
+  TrafficDumper b(&sim, "d1", {}, &store);
+  a.handle_packet(0, mirrored_packet(1, 0, 4000));
+  b.handle_packet(0, mirrored_packet(0, 0, 4001));
+  a.handle_packet(0, mirrored_packet(2, 0, 4002));
+  ASSERT_EQ(store.size(), 3u);
+  EXPECT_EQ(&a.packets(), &store);
+  EXPECT_EQ(&b.packets(), &store);
+  // Arrival order, not mirror order.
+  EXPECT_EQ(store[0].meta.mirror_seq, 1u);
+  EXPECT_EQ(store[1].meta.mirror_seq, 0u);
+  EXPECT_EQ(store[2].meta.mirror_seq, 2u);
+  EXPECT_EQ(a.counters().captured, 2u);
+  EXPECT_EQ(b.counters().captured, 1u);
 }
 
 TEST(Dumper, SingleFlowWithoutRandomizationOverloadsOneCore) {
@@ -120,7 +184,7 @@ TEST(Dumper, TerminateRestoresUdpPortsAndStopsCapture) {
   dumper.handle_packet(0, mirrored_packet(0, 0, 31337));
   dumper.terminate();
   ASSERT_EQ(dumper.packets().size(), 1u);
-  const auto view = parse_roce(dumper.packets()[0].pkt, true);
+  const auto view = parse_roce_bytes(dumper.packets()[0].pkt.span(), true);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->udp_dst_port, kRoceUdpPort);  // restored (§3.4)
   // Post-TERM arrivals are ignored.

@@ -1,7 +1,9 @@
 // Allocation regression test for the per-packet hot path: event closures
 // that never carry a Packet, ring-buffer port FIFOs, switch slot parking,
-// an allocation-free RNIC pump, and a move-only trace merge keep heap
-// traffic inside Orchestrator::run() to a small constant per wire packet.
+// an allocation-free RNIC pump, and a capture path that writes each frame
+// once into the trace keep heap traffic inside Orchestrator::run() to a
+// small constant per wire packet, and heap bytes to a small constant per
+// captured frame.
 //
 // This binary replaces the global operator new/delete with a counting
 // version (the same shape as perfbench/alloc_count.cc); counting is on only
@@ -20,18 +22,22 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};  ///< Requested sizes, summed.
 
-void* allocate(std::size_t size) {
+void count(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
+}
+
+void* allocate(std::size_t size) {
+  count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 
 void* allocate_aligned(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  count(size);
   const auto alignment = static_cast<std::size_t>(align);
   // aligned_alloc needs a size that is a multiple of the alignment.
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
@@ -109,19 +115,26 @@ constexpr std::uint64_t kMinWirePackets = 10000;
 
 struct RunAllocs {
   std::uint64_t allocs = 0;
+  std::uint64_t bytes = 0;
   std::uint64_t wire_packets = 0;  ///< Σ host tx_packets.
+  std::uint64_t captured = 0;      ///< Σ dumper captures.
 };
 
 /// Runs `orch` with allocation counting on around run() alone.
 RunAllocs count_run(Orchestrator& orch) {
   g_allocs.store(0, std::memory_order_relaxed);
+  g_bytes.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   const TestResult& result = orch.run();
   g_counting.store(false, std::memory_order_relaxed);
   RunAllocs out;
   out.allocs = g_allocs.load(std::memory_order_relaxed);
+  out.bytes = g_bytes.load(std::memory_order_relaxed);
   for (const auto& host : result.host_counters) {
     out.wire_packets += host.tx_packets;
+  }
+  for (const auto& dumper : orch.dumpers()) {
+    out.captured += dumper->counters().captured;
   }
   EXPECT_TRUE(result.finished);
   EXPECT_TRUE(result.integrity.ok()) << result.integrity.to_string();
@@ -135,6 +148,23 @@ void expect_allocs_bounded(const RunAllocs& run) {
   EXPECT_LE(per_packet, kMaxAllocsPerWirePacket)
       << run.allocs << " allocations for " << run.wire_packets
       << " wire packets";
+}
+
+/// Heap bytes requested inside run() per frame the dumper pool captured.
+/// A capture costs one record (<= 256 B) plus its trimmed bytes, and the
+/// shared store's doubling growth requests up to two records' worth more
+/// per frame; collect_results adds nothing when captures arrive in mirror
+/// order. The rest is the run's other state. Measured 960 B (lossy Read)
+/// and 1400 B (ECN incast); a capture path that keeps per-dumper stores
+/// and merges them into a second trace-sized vector requests 1739 B and
+/// 2180 B.
+void expect_bytes_bounded(const RunAllocs& run, double max_per_frame) {
+  ASSERT_GT(run.captured, 0u);
+  const double per_frame =
+      static_cast<double>(run.bytes) / static_cast<double>(run.captured);
+  EXPECT_LE(per_frame, max_per_frame)
+      << run.bytes << " heap bytes for " << run.captured
+      << " captured frames";
 }
 
 TEST(HotPathAlloc, LossyTwoHostReadStaysWithinBudget) {
@@ -169,6 +199,7 @@ TEST(HotPathAlloc, LossyTwoHostReadStaysWithinBudget) {
   const RunAllocs run = count_run(orch);
   EXPECT_GT(orch.result().switch_counters.dropped_by_event, 0u);
   expect_allocs_bounded(run);
+  expect_bytes_bounded(run, 1280.0);
 }
 
 TEST(HotPathAlloc, LossFreeTwoHostReadStaysWithinBudget) {
@@ -215,6 +246,7 @@ TEST(HotPathAlloc, EcnIncastStaysWithinBudget) {
   const RunAllocs run = count_run(orch);
   EXPECT_GT(orch.result().switch_counters.ecn_marked_by_queue, 0u);
   expect_allocs_bounded(run);
+  expect_bytes_bounded(run, 1792.0);
 }
 
 }  // namespace

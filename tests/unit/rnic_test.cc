@@ -570,6 +570,81 @@ TEST_F(RnicTest, MixedVerbRecoveryCompletesInPostOrder) {
   EXPECT_EQ(req->counters().implied_nak_seq_err, 2u);
 }
 
+TEST_F(RnicTest, CompletionsLeaveInPostOrderAcrossVerbs) {
+  // Writes complete on ACKs, Reads on their last response. The second
+  // Read's responses arrive before the delayed ACK of the Write posted
+  // ahead of it, so that Read finishes first; its completion must still
+  // wait until every older WQE has completed (IBTA: one send queue
+  // completes in post order).
+  build(NicType::kCx5, NicType::kCx5);
+  auto [rq, rs] = make_qps(QpConfig{.mtu = 1024});
+  std::vector<WorkCompletion> completions;
+  rq->set_completion_callback(
+      [&](const WorkCompletion& wc) { completions.push_back(wc); });
+  rq->post_send({1, RdmaVerb::kWrite, 2048, 0x2000, 0x22});
+  rq->post_send({2, RdmaVerb::kRead, 3072, 0x2000, 0x22});
+  rq->post_send({3, RdmaVerb::kWrite, 3072, 0x2000, 0x22});
+  rq->post_send({4, RdmaVerb::kRead, 4096, 0x2000, 0x22});
+  sim.run();
+
+  ASSERT_EQ(completions.size(), 4u);
+  for (std::size_t i = 0; i < completions.size(); ++i) {
+    EXPECT_EQ(completions[i].wr_id, i + 1) << "completion " << i;
+    EXPECT_EQ(completions[i].status, WcStatus::kSuccess);
+    if (i > 0) {
+      EXPECT_GE(completions[i].completed_at, completions[i - 1].completed_at);
+    }
+  }
+}
+
+TEST_F(RnicTest, ReRequestedSinglePacketReadResendsReadRespOnly) {
+  // Read 1024 B (PSN 1000, one response) and Read 2048 B (PSNs 1001-1002)
+  // on one QP; the first response is lost once. The re-request for PSN
+  // 1000 rewinds the response stream to a complete one-packet message, so
+  // it must go out as ReadRespOnly, followed by the second Read's First
+  // and Last.
+  build(NicType::kCx5, NicType::kCx5);
+  auto [rq, rs] = make_qps(QpConfig{.mtu = 1024});
+  bool dropped = false;
+  wire.mutate = [&](int in_port, Packet& pkt) {
+    const auto view = parse_roce(pkt);
+    if (in_port == 1 && view && is_read_response(view->bth.opcode) &&
+        view->bth.psn == 1000 && !dropped) {
+      dropped = true;
+      return false;
+    }
+    return true;
+  };
+  std::vector<WorkCompletion> completions;
+  rq->set_completion_callback(
+      [&](const WorkCompletion& wc) { completions.push_back(wc); });
+  rq->post_send({1, RdmaVerb::kRead, 1024, 0x2000, 0x22});
+  rq->post_send({2, RdmaVerb::kRead, 2048, 0x2000, 0x22});
+  sim.run();
+
+  ASSERT_TRUE(dropped);
+  ASSERT_EQ(completions.size(), 2u);
+  EXPECT_EQ(completions[0].wr_id, 1u);
+  EXPECT_EQ(completions[1].wr_id, 2u);
+  std::size_t rerequest = wire.log.size();
+  for (std::size_t i = 0; i < wire.log.size(); ++i) {
+    if (wire.log[i].bth.opcode == IbOpcode::kReadRequest) rerequest = i;
+  }
+  ASSERT_LT(rerequest, wire.log.size());
+  EXPECT_EQ(wire.log[rerequest].bth.psn, 1000u);
+  std::vector<std::pair<IbOpcode, std::uint32_t>> resent;
+  for (std::size_t i = rerequest + 1; i < wire.log.size(); ++i) {
+    if (is_read_response(wire.log[i].bth.opcode)) {
+      resent.emplace_back(wire.log[i].bth.opcode, wire.log[i].bth.psn);
+    }
+  }
+  const std::vector<std::pair<IbOpcode, std::uint32_t>> want = {
+      {IbOpcode::kReadRespOnly, 1000},
+      {IbOpcode::kReadRespFirst, 1001},
+      {IbOpcode::kReadRespLast, 1002}};
+  EXPECT_EQ(resent, want);
+}
+
 TEST_F(RnicTest, QpnsAreUniquePerNic) {
   build(NicType::kCx5, NicType::kCx5);
   QueuePair* a = req->create_qp({});
