@@ -11,6 +11,11 @@
 //             invalidating the view before each parse.
 //   migreq  — set_mig_req's O(log n) incremental trailer patch vs a full
 //             refresh_icrc recompute after the same flag write.
+//   clmul   — the CLMUL-folded crc32_update vs the slice-by-8 engine over
+//             64 frames at a time (the RNIC's iCRC-verify inner loop),
+//             across frame sizes. Equality is gated exactly; the speedup
+//             is informational (1.0x by construction on CPUs without
+//             PCLMULQDQ or under -DLUMINA_DISABLE_CLMUL=ON).
 //
 // Wall-clock throughput is hardware-dependent and only gated loosely (the
 // documented floors in docs/campaigns.md: >= 3x on icrc at 1KiB+, >= 2x on
@@ -22,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +47,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-Packet make_frame(std::uint32_t payload_len) {
+Packet make_frame(std::uint32_t payload_len, std::uint32_t psn = 0x4242) {
   RocePacketSpec spec;
   spec.src_mac = MacAddress::from_u48(0x0200000000aa);
   spec.dst_mac = MacAddress::from_u48(0x0200000000bb);
@@ -51,7 +57,7 @@ Packet make_frame(std::uint32_t payload_len) {
   spec.reth = Reth{0x1000, 0x55, payload_len};
   spec.payload_len = payload_len;
   spec.dest_qpn = 0x0102;
-  spec.psn = 0x4242;
+  spec.psn = psn;
   return build_roce_packet(spec);
 }
 
@@ -217,6 +223,58 @@ int main(int argc, char** argv) {
         incr_rate / full_rate;
   }
   migreq_table.print();
+
+  // ---- Workload 4: CLMUL-folded vs slice-by-8 crc32_update --------------
+  subheading("clmul: CLMUL-folded vs slice-by-8 over 64 frames (Mframes/s)");
+  std::printf("CLMUL supported at runtime: %s\n",
+              crc32_clmul_supported() ? "yes" : "no");
+  Table clmul_table({"frame", "slice8", "clmul", "speedup"});
+  for (const std::uint32_t payload : {0u, 192u, 952u, 4024u}) {
+    std::vector<Packet> frames;
+    for (std::uint32_t j = 0; j < 64; ++j) {
+      frames.push_back(make_frame(payload, 0x2000 + j));
+    }
+    // Exact equality of the two engines on every frame, plus the last
+    // frame's CRC as a machine-independent baseline counter.
+    std::uint32_t crc = 0;
+    bool all_equal = true;
+    for (const Packet& pkt : frames) {
+      const std::uint32_t slice = crc32_update_slice8(kCrcInit, pkt.span());
+      all_equal = all_equal &&
+                  slice == crc32_update_clmul(kCrcInit, pkt.span());
+      crc = slice;
+    }
+    check.expect(all_equal, "clmul == slice8 on every frame at payload " +
+                                std::to_string(payload));
+    report.deterministic.counters["icrc_crc_p" + std::to_string(payload)] =
+        crc;
+
+    const auto batch_rate = [&frames](auto&& engine) {
+      return throughput([&] {
+               std::uint32_t acc = 0;
+               for (const Packet& pkt : frames) {
+                 acc ^= engine(kCrcInit, pkt.span());
+               }
+               g_sink = acc;
+             }) *
+             static_cast<double>(frames.size());
+    };
+    const double slice_rate =
+        batch_rate([](std::uint32_t s, std::span<const std::uint8_t> d) {
+          return crc32_update_slice8(s, d);
+        });
+    const double clmul_rate =
+        batch_rate([](std::uint32_t s, std::span<const std::uint8_t> d) {
+          return crc32_update_clmul(s, d);
+        });
+    const double speedup = clmul_rate / slice_rate;
+    clmul_table.add_row({std::to_string(frames[0].size()) + "B",
+                         fmt("%.2f", slice_rate / 1e6),
+                         fmt("%.2f", clmul_rate / 1e6),
+                         fmt("%.2fx", speedup)});
+    report.wall["icrc_speedup_p" + std::to_string(payload)] = speedup;
+  }
+  clmul_table.print();
 
   // Documented floors (docs/campaigns.md, bench-gate section). Generous
   // margins below the typically-observed speedups so shared CI runners

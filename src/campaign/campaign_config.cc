@@ -52,7 +52,8 @@ void expand_fuzz(const YamlNode& node, Campaign* campaign) {
   const std::string target = node["target"].as_string();
   const NicType nic = parse_nic_or_throw(node["nic"].as_string_or("cx5"));
   if (!make_fuzz_target(target, nic)) {
-    throw YamlError("unknown fuzz target: " + target);
+    throw YamlError("fuzz.target: unknown fuzz target '" + target +
+                    "' (registered: " + fuzz_target_names() + ")");
   }
   const auto shards = node["shards"].as_int_or(1);
   if (shards < 1) throw YamlError("fuzz shards must be >= 1");

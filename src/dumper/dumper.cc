@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "packet/bytes.h"
+#include "packet/packet_arena.h"
 #include "packet/pcap_writer.h"
 
 namespace lumina {
@@ -52,90 +53,6 @@ void write_record(const Packet& pkt, std::size_t trim_bytes,
 
 }  // namespace
 
-// The dumper's rx pipeline, decomposed from the pre-pipeline monolithic
-// handle_packet into two stages over a PacketBatch (same construction as
-// SwitchPipeline in injector/switch.cc: the event kernel delivers one
-// packet per call, so the production pump runs single-slot batches and
-// the stage bodies concatenate to the former per-packet sequence).
-struct DumperPipeline {
-  using PacketBatch = pipeline::PacketBatch;
-  using StageContract = pipeline::StageContract;
-
-  /// NIC/ring admission: RSS core selection and the finite per-core
-  /// service model. Ring overflow -> NIC discard. Stores the admitted
-  /// slot's core in the slot metadata.
-  class Admit : public pipeline::Stage {
-   public:
-    explicit Admit(TrafficDumper& dumper) : dumper_(dumper) {}
-    const char* name() const override { return "admit"; }
-    StageContract contract() const override {
-      return {.provides_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
-      TrafficDumper& d = dumper_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        if (d.terminated_) {
-          batch.consume(i);
-          continue;
-        }
-        ++d.counters_.received;
-
-        const auto view = parse_roce(batch.pkt(i));
-        const Tick now = batch.meta(i).ingress_ts;
-        const std::size_t core =
-            view ? rss_hash(*view) % d.core_busy_until_.size() : 0;
-
-        // Finite per-core processing: ring overflow -> NIC discard.
-        Tick& busy = d.core_busy_until_[core];
-        const Tick service = d.options_.per_packet_service;
-        const std::size_t backlog =
-            busy > now ? static_cast<std::size_t>((busy - now) / service) : 0;
-        if (backlog >= d.options_.ring_capacity) {
-          ++d.counters_.discarded;
-          batch.consume(i);
-          continue;
-        }
-        busy = std::max(busy, now) + service;
-        batch.meta(i).core = core;
-      }
-    }
-
-   private:
-    TrafficDumper& dumper_;
-  };
-
-  /// Trim + store: writes each frame's capture record into the store
-  /// (write_record); the wire buffer stays in the slot and recycles.
-  class Capture : public pipeline::Stage {
-   public:
-    explicit Capture(TrafficDumper& dumper) : dumper_(dumper) {}
-    const char* name() const override { return "capture"; }
-    StageContract contract() const override {
-      return {.needs_view = true, .may_consume = true};
-    }
-    void process(PacketBatch& batch) override {
-      TrafficDumper& d = dumper_;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.live(i)) continue;
-        TracePacket& record = d.store_->emplace_back();
-        write_record(batch.pkt(i), d.options_.trim_bytes, record);
-        record.captured_at = batch.meta(i).ingress_ts;
-        ++d.counters_.captured;
-        batch.consume(i);
-      }
-    }
-
-   private:
-    TrafficDumper& dumper_;
-  };
-
-  static void build(TrafficDumper& dumper, pipeline::StageChain& chain) {
-    chain.append(std::make_unique<Admit>(dumper));
-    chain.append(std::make_unique<Capture>(dumper));
-  }
-};
-
 TrafficDumper::TrafficDumper(Simulator* sim, std::string name, Options options,
                              CaptureStore* store)
     : sim_(sim),
@@ -143,21 +60,35 @@ TrafficDumper::TrafficDumper(Simulator* sim, std::string name, Options options,
       options_(options),
       port_(std::make_unique<Port>(sim, this, 0)),
       core_busy_until_(static_cast<std::size_t>(std::max(1, options.cores)), 0),
-      store_(store != nullptr ? store : &own_store_) {
-  DumperPipeline::build(*this, rx_pipeline_);
-}
+      store_(store != nullptr ? store : &own_store_) {}
 
 void TrafficDumper::handle_packet(int in_port, Packet pkt) {
-  rx_batch_.clear();
-  rx_batch_.push(std::move(pkt), in_port, sim_->now());
-  handle_batch(rx_batch_);
-}
-
-void TrafficDumper::handle_batch(pipeline::PacketBatch& batch) {
-  rx_pipeline_.run(batch);
+  (void)in_port;
   // Captures copy what they keep, so every wire buffer (captured or
-  // discarded) is still in its slot and recycles here.
-  batch.reclaim();
+  // discarded) recycles on return.
+  ScopedPacketReclaim reclaim(pkt);
+  if (terminated_) return;
+  ++counters_.received;
+
+  // Admit: RSS core selection and the finite per-core service model.
+  const auto view = parse_roce(pkt);
+  const Tick now = sim_->now();
+  const std::size_t core = view ? rss_hash(*view) % core_busy_until_.size() : 0;
+  Tick& busy = core_busy_until_[core];
+  const Tick service = options_.per_packet_service;
+  const std::size_t backlog =
+      busy > now ? static_cast<std::size_t>((busy - now) / service) : 0;
+  if (backlog >= options_.ring_capacity) {
+    ++counters_.discarded;  // ring overflow -> NIC discard
+    return;
+  }
+  busy = std::max(busy, now) + service;
+
+  // Capture: trim and write the final record straight into the store.
+  TracePacket& record = store_->emplace_back();
+  write_record(pkt, options_.trim_bytes, record);
+  record.captured_at = now;
+  ++counters_.captured;
 }
 
 bool TrafficDumper::write_pcap(const std::string& path) const {

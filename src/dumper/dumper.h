@@ -22,14 +22,9 @@
 
 #include "dumper/capture.h"
 #include "net/node.h"
-#include "pipeline/stage.h"
 #include "sim/simulator.h"
 
 namespace lumina {
-
-/// Assembles the dumper's rx pipeline (defined in dumper.cc): admit ->
-/// capture.
-struct DumperPipeline;
 
 struct DumperCounters {
   std::uint64_t received = 0;
@@ -54,16 +49,10 @@ class TrafficDumper : public Node {
 
   Port& port() { return *port_; }
 
-  // handle_packet is a single-slot batch pump over the rx stage chain
-  // (admit -> capture); handle_batch runs any batch stage-major and
-  // reclaims leftover buffers.
+  // handle_packet runs the capture steps in order: admit (RSS core, ring
+  // overflow) -> capture (docs/packet.md "Per-packet data plane").
   void handle_packet(int in_port, Packet pkt) override;
-  void handle_batch(pipeline::PacketBatch& batch);
   std::string name() const override { return name_; }
-
-  /// The assembled rx stage chain (differential harness access).
-  const pipeline::StageChain& rx_pipeline() const { return rx_pipeline_; }
-  pipeline::StageChain& rx_pipeline() { return rx_pipeline_; }
 
   /// TERM from the orchestrator: later arrivals are no longer captured.
   void terminate() { terminated_ = true; }
@@ -77,13 +66,9 @@ class TrafficDumper : public Node {
   bool write_pcap(const std::string& path) const;
 
  private:
-  friend struct DumperPipeline;
-
   Simulator* sim_;
   std::string name_;
   Options options_;
-  pipeline::StageChain rx_pipeline_;
-  pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.
   std::unique_ptr<Port> port_;
   std::vector<Tick> core_busy_until_;
   CaptureStore own_store_;  ///< Used when no shared store was given.

@@ -24,7 +24,9 @@ std::string shard_file_name(int shard) {
 FuzzTarget resolve_target(const FuzzCampaignSpec& spec) {
   auto target = make_fuzz_target(spec.target, spec.nic, spec.scenario_hosts);
   if (!target) {
-    throw YamlError("unknown fuzz target '" + spec.target + "'");
+    throw YamlError("fuzz-campaign.target: unknown fuzz target '" +
+                    spec.target + "' (registered: " + fuzz_target_names() +
+                    ")");
   }
   if (!spec.fitness.empty()) {
     target->score = make_fitness(spec.fitness);

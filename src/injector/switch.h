@@ -19,15 +19,10 @@
 #include "injector/fault_models.h"
 #include "injector/mirror.h"
 #include "net/node.h"
-#include "pipeline/stage.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
 namespace lumina {
-
-/// Assembles the injector's rx pipeline (defined in switch.cc): classify ->
-/// event-match -> transform -> mirror-tap -> emit.
-struct SwitchPipeline;
 
 /// Per-port RoCE traffic counters kept by the data plane for the §3.5
 /// integrity check, alongside the generic net-level PortCounters.
@@ -153,24 +148,18 @@ class EventInjectorSwitch : public Node {
   }
 
   // -- data plane ----------------------------------------------------------
-  // The event kernel delivers one packet per call; handle_packet is a
-  // batch pump over a single-slot batch. handle_batch runs the declared
-  // stage chain stage-major over any batch (bench/pipeline_batch and the
-  // pipeline-differential fuzz target drive it with 1–64 slots) and
-  // reclaims the slots' leftover buffers.
+  // The event kernel delivers one packet per call; handle_packet runs the
+  // ingress steps in order (classify -> event match -> transform -> mirror
+  // tap -> emit, docs/packet.md "Per-packet data plane").
   void handle_packet(int in_port, Packet pkt) override;
-  void handle_batch(pipeline::PacketBatch& batch);
   std::string name() const override { return "event-injector"; }
 
-  /// The assembled rx stage chain (classify -> event-match -> transform ->
-  /// mirror-tap -> emit). Exposed so the differential harnesses can run
-  /// the retained packet-major oracle against the same stages.
-  const pipeline::StageChain& rx_pipeline() const { return rx_pipeline_; }
-  pipeline::StageChain& rx_pipeline() { return rx_pipeline_; }
-
  private:
-  friend struct SwitchPipeline;
-
+  /// Event match for one data packet: relative-rule discovery, ITER
+  /// tracking, the table lookup, and the fault activations a hit arms.
+  /// Returns the matched action (type kNone on a miss).
+  EventAction match_event(int in_port, Tick now, const FlowKey& flow,
+                          const RoceView& view);
   void forward(Packet pkt);
   /// Schedules forward(pkt) `delay` from now, the frame parked meanwhile.
   void forward_after(Tick delay, Packet pkt);
@@ -202,8 +191,6 @@ class EventInjectorSwitch : public Node {
 
   Simulator* sim_;
   Options options_;
-  pipeline::StageChain rx_pipeline_;
-  pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<Ipv4Address, int> routes_;
   EventTable table_;

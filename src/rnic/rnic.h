@@ -15,7 +15,6 @@
 #include "net/node.h"
 #include "packet/packet_ring.h"
 #include "packet/pfc.h"
-#include "pipeline/stage.h"
 #include "rnic/counters.h"
 #include "rnic/dcqcn.h"
 #include "rnic/device_profile.h"
@@ -26,10 +25,6 @@
 #include "telemetry/telemetry.h"
 
 namespace lumina {
-
-/// Assembles the RNIC's rx pipeline (defined in rnic.cc): rx-classify ->
-/// icrc-verify -> rx-dispatch.
-struct RnicPipeline;
 
 /// Hot-path telemetry handles resolved at attach time (null when no
 /// telemetry is attached). Metric names carry the NIC's role:
@@ -148,19 +143,13 @@ class Rnic : public Node {
   const RnicTelemetryHooks& tele() const { return tele_; }
 
   // -- Node -------------------------------------------------------------------
-  // handle_packet is a single-slot batch pump over the rx stage chain
-  // (rx-classify -> icrc-verify -> rx-dispatch); handle_batch runs any
-  // batch stage-major and reclaims leftover buffers.
+  // handle_packet runs the rx steps in order: MAC admission (PFC, stall
+  // window, RoCE parse) -> iCRC verify -> dispatch (docs/packet.md
+  // "Per-packet data plane").
   void handle_packet(int in_port, Packet pkt) override;
-  void handle_batch(pipeline::PacketBatch& batch);
   std::string name() const override { return name_; }
 
-  /// The assembled rx stage chain (differential harness access).
-  const pipeline::StageChain& rx_pipeline() const { return rx_pipeline_; }
-  pipeline::StageChain& rx_pipeline() { return rx_pipeline_; }
-
  private:
-  friend struct RnicPipeline;
   // Per traffic class: a position-stable member table of slab slots
   // (destroy leaves a kInvalidSlot tombstone so round-robin positions
   // stay put), the work set of member positions that may have TX work,
@@ -172,7 +161,9 @@ class Rnic : public Node {
     std::size_t tombstones = 0;
   };
 
-  void process_packet(Packet pkt, const RoceView& view);
+  /// QP lookup, the APM MigReq=0 slow path, the DCQCN notification point,
+  /// and the delayed hand-off of a boxed view copy to the QP.
+  void dispatch_rx(const RoceView& view, Tick now);
   void pump();
   void schedule_pump(Tick when);
   void compact_tc(TcState& tc);
@@ -181,8 +172,6 @@ class Rnic : public Node {
 
   Simulator* sim_;
   std::string name_;
-  pipeline::StageChain rx_pipeline_;
-  pipeline::PacketBatch rx_batch_;  ///< handle_packet's single-slot pump.
   DeviceProfile profile_;
   RoceParameters roce_;
   MacAddress mac_;

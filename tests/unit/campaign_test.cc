@@ -216,6 +216,25 @@ TEST(CampaignConfig, RejectsBadDocuments) {
       YamlError);
 }
 
+TEST(CampaignConfig, RemovedFuzzTargetErrorNamesFieldAndRegisteredTargets) {
+  // pipeline-differential was a registered target once; a campaign still
+  // naming it must fail with the field and the names that do exist.
+  try {
+    load_campaign(parse_yaml(
+        "runs:\n  - kind: fuzz\n    target: pipeline-differential\n"));
+    FAIL() << "expected YamlError";
+  } catch (const YamlError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fuzz.target"), std::string::npos) << what;
+    EXPECT_NE(what.find("'pipeline-differential'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(fuzz_target_names()), std::string::npos) << what;
+  }
+  EXPECT_EQ(fuzz_target_names(),
+            "noisy-neighbor, lossy-network, crc-differential, scenario");
+  EXPECT_FALSE(make_fuzz_target("pipeline-differential", NicType::kCx5));
+}
+
 TEST(CampaignConfig, AppliesTrafficOverrides) {
   TestConfig cfg;
   apply_traffic_override(cfg, "message-size", YamlNode::scalar("4096"));

@@ -1,6 +1,7 @@
 // Unit tests for the event-injector switch: ITER tracking (Fig. 3), the
 // match-action event table, metadata embedding (§3.4), weighted
-// round-robin mirroring, and the data-plane pipeline.
+// round-robin mirroring, the per-packet data plane, and a table walk that
+// drives every single-packet rule type through its hit and miss paths.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -672,6 +673,183 @@ TEST_F(SwitchTest, ControlPacketsAreNotInjectable) {
   sim.run();
   EXPECT_EQ(host_b.packets.size(), 1u);  // forwarded, not dropped
   EXPECT_EQ(sw.roce_counters().events_applied, 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Table walk (P4Testgen-style): each single-packet rule type against the
+// packet that hits it and every packet that just misses it, under each
+// switch mode. One case per (rule, probe, mode), each on a fresh switch.
+// ---------------------------------------------------------------------------
+
+enum class Probe {
+  kHit,             ///< data packet at the rule's PSN, round 1
+  kPsnBelow,        ///< rule PSN - 1
+  kPsnAbove,        ///< rule PSN + 1
+  kIterNotReached,  ///< rule PSN in round 1 against an ITER-2 rule
+  kOtherQpn,        ///< rule PSN on another QP of the same host pair
+  kAckAtPsn,        ///< ACK carrying the rule's PSN (not injectable)
+  kNonRoce,         ///< non-IP frame, forwarded as plain L2
+};
+
+enum class Mode { kEnforceDrops, kDropsNotEnforced, kInjectionOff };
+
+const char* probe_name(Probe probe) {
+  switch (probe) {
+    case Probe::kHit: return "hit";
+    case Probe::kPsnBelow: return "psn-1";
+    case Probe::kPsnAbove: return "psn+1";
+    case Probe::kIterNotReached: return "iter-not-reached";
+    case Probe::kOtherQpn: return "other-qpn";
+    case Probe::kAckAtPsn: return "ack-at-psn";
+    case Probe::kNonRoce: return "non-roce";
+  }
+  return "?";
+}
+
+const char* mode_name(Mode mode) {
+  switch (mode) {
+    case Mode::kEnforceDrops: return "enforce-drops";
+    case Mode::kDropsNotEnforced: return "drops-not-enforced";
+    case Mode::kInjectionOff: return "injection-off";
+  }
+  return "?";
+}
+
+constexpr std::uint32_t kRulePsn = 42;
+
+Packet probe_packet(Probe probe) {
+  if (probe == Probe::kNonRoce) {
+    Packet pkt;
+    pkt.bytes.assign(64, 0);
+    pkt.bytes[off::kEthType] = 0x88;  // LLDP ethertype
+    pkt.bytes[off::kEthType + 1] = 0xcc;
+    return pkt;
+  }
+  RocePacketSpec spec;
+  spec.src_ip = kFlow.src_ip;
+  spec.dst_ip = kFlow.dst_ip;
+  spec.opcode = IbOpcode::kWriteOnly;
+  spec.reth = Reth{0, 0, 512};
+  spec.payload_len = 512;
+  spec.dest_qpn = kFlow.dst_qpn;
+  spec.psn = kRulePsn;
+  switch (probe) {
+    case Probe::kPsnBelow:
+      spec.psn = kRulePsn - 1;
+      break;
+    case Probe::kPsnAbove:
+      spec.psn = kRulePsn + 1;
+      break;
+    case Probe::kOtherQpn:
+      spec.dest_qpn = kFlow.dst_qpn + 1;
+      break;
+    case Probe::kAckAtPsn:
+      spec.opcode = IbOpcode::kAcknowledge;
+      spec.reth.reset();
+      spec.payload_len = 0;
+      spec.aeth = Aeth::ack(0);
+      break;
+    default:
+      break;
+  }
+  return build_roce_packet(spec);
+}
+
+TEST(InjectorTableWalk, EveryRuleAndMissPath) {
+  const EventType kRuleTypes[] = {
+      EventType::kDrop,    EventType::kEcn,       EventType::kCorrupt,
+      EventType::kDelay,   EventType::kReorder,   EventType::kDuplicate,
+      EventType::kBurstLoss,
+  };
+  const Probe kProbes[] = {Probe::kHit,          Probe::kPsnBelow,
+                           Probe::kPsnAbove,     Probe::kIterNotReached,
+                           Probe::kOtherQpn,     Probe::kAckAtPsn,
+                           Probe::kNonRoce};
+  const Mode kModes[] = {Mode::kEnforceDrops, Mode::kDropsNotEnforced,
+                         Mode::kInjectionOff};
+
+  for (const EventType type : kRuleTypes) {
+    for (const Probe probe : kProbes) {
+      for (const Mode mode : kModes) {
+        SCOPED_TRACE(to_string(type) + " / " + probe_name(probe) + " / " +
+                     mode_name(mode));
+        EventInjectorSwitch::Options options;
+        options.enforce_drops = mode != Mode::kDropsNotEnforced;
+        options.enable_event_injection = mode != Mode::kInjectionOff;
+        Simulator sim;
+        EventInjectorSwitch sw(&sim, 4, options);
+        CaptureNode host_b(&sim, "host-b");
+        CaptureNode dumper(&sim, "dumper");
+        connect(host_b.port(), sw.port(1), LinkParams{100.0, 10});
+        connect(dumper.port(), sw.port(2), LinkParams{100.0, 10});
+        sw.add_route(kFlow.dst_ip, 1);
+        sw.set_mirror_targets({{2, 1}});
+        telemetry::MetricsRegistry metrics;
+        telemetry::Telemetry tele{&metrics, nullptr};
+        sw.attach_telemetry(&tele);
+
+        // IPSN two below the rule, so PSNs rule-1 .. rule+1 are round 1.
+        sw.register_flow(kFlow, kRulePsn - 2);
+        EventRule rule{kFlow, kRulePsn,
+                       probe == Probe::kIterNotReached ? 2u : 1u, type};
+        if (type == EventType::kDelay) rule.delay = 5 * kMicrosecond;
+        if (type == EventType::kBurstLoss) {
+          rule.fault.ge_p = 0.0;  // stays Bad: the trigger is lost
+          rule.fault.ge_r = 0.0;
+        }
+        sw.install_rule(rule);
+
+        sw.handle_packet(0, probe_packet(probe));
+
+        const bool roce = probe != Probe::kNonRoce;
+        const bool injecting = mode != Mode::kInjectionOff;
+        const bool looked_up =
+            injecting && roce && probe != Probe::kAckAtPsn;
+        const bool hit = injecting && probe == Probe::kHit;
+        const bool drops = hit && (type == EventType::kDrop ||
+                                   type == EventType::kBurstLoss);
+        const bool dropped = drops && mode == Mode::kEnforceDrops;
+        const bool held = hit && type == EventType::kReorder;
+        const bool duplicated = hit && type == EventType::kDuplicate;
+        // Forwards decided synchronously in handle_packet.
+        const std::uint64_t tx_now =
+            !roce || dropped || held ? 0 : duplicated ? 2 : 1;
+
+        const SwitchRoceCounters& c = sw.roce_counters();
+        EXPECT_EQ(c.roce_rx, roce ? 1u : 0u);
+        EXPECT_EQ(c.roce_tx, tx_now);
+        EXPECT_EQ(c.mirrored, roce ? 1u : 0u);
+        EXPECT_EQ(c.events_applied, hit ? 1u : 0u);
+        EXPECT_EQ(c.dropped_by_event, dropped ? 1u : 0u);
+        EXPECT_EQ(metrics.counter("injector.table_match").value(),
+                  hit ? 1u : 0u);
+        EXPECT_EQ(metrics.counter("injector.table_miss").value(),
+                  looked_up && !hit ? 1u : 0u);
+
+        sim.run();
+        // A held reorder packet with no successor leaves on the flush
+        // timeout; every forwarded RoCE frame reaches host-b. The non-IP
+        // frame is unroutable at forward time.
+        const std::uint64_t tx_final = tx_now + (held ? 1 : 0);
+        EXPECT_EQ(c.roce_tx, tx_final);
+        EXPECT_EQ(host_b.packets.size(), tx_final);
+        for (const Packet& out : host_b.packets) {
+          EXPECT_EQ(parse_roce(out)->ecn_ce(),
+                    hit && type == EventType::kEcn);
+          EXPECT_EQ(verify_icrc(out), !(hit && type == EventType::kCorrupt));
+        }
+        EXPECT_EQ(sw.delay_releases().size(),
+                  hit && type == EventType::kDelay ? 1u : 0u);
+        EXPECT_EQ(dumper.packets.size(), c.mirrored);
+        if (!dumper.packets.empty()) {
+          EXPECT_EQ(extract_mirror_meta(dumper.packets[0]).event,
+                    hit ? type : EventType::kNone);
+        }
+        EXPECT_EQ(sw.parked(), 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

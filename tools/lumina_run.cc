@@ -383,7 +383,10 @@ int run_fuzz_target_mode(int argc, char** argv) {
   }
   auto target = make_fuzz_target(name, nic);
   if (!target) {
-    std::fprintf(stderr, "error: unknown fuzz target '%s'\n", name.c_str());
+    std::fprintf(stderr,
+                 "error: --fuzz-target: unknown fuzz target '%s' "
+                 "(registered: %s)\n",
+                 name.c_str(), fuzz_target_names().c_str());
     return 1;
   }
   std::printf("== Fuzz smoke: target %s, pool %d + %d iterations, seed "
