@@ -34,7 +34,8 @@ struct CrcDifferentialOutcome {
 /// buffers, split points, and alignments: slice-by-8 vs bitwise CRC,
 /// chained crc32_update segmentation, crc32_combine / crc32_zero_advance
 /// identities, the copy-free compute_icrc vs the materializing reference,
-/// and the single-byte incremental-patch property set_mig_req relies on.
+/// the single-byte incremental-patch property set_mig_req relies on, and
+/// the builder's seeded parse view against a fresh decode of its bytes.
 /// A healthy implementation reports 0 mismatches for every seed.
 CrcDifferentialOutcome run_crc_differential(std::uint64_t seed,
                                             int iterations);

@@ -1,11 +1,28 @@
 #include "injector/switch.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
+#include "packet/bytes.h"
 #include "packet/packet_arena.h"
 #include "util/logging.h"
 
 namespace lumina {
+namespace {
+
+/// The IPv4 destination of an IPv4 frame (EtherType 0x0800, version 4,
+/// a whole base header); nullopt for anything else.
+std::optional<Ipv4Address> ipv4_destination(const Packet& pkt) {
+  const std::span<const std::uint8_t> b = pkt.span();
+  if (b.size() < off::kIp + 20 || b[off::kEthType] != 0x08 ||
+      b[off::kEthType + 1] != 0x00 || (b[off::kIp] >> 4) != 4) {
+    return std::nullopt;
+  }
+  return Ipv4Address{ByteReader(b.subspan(off::kIpDst)).u32()};
+}
+
+}  // namespace
 
 EventInjectorSwitch::EventInjectorSwitch(Simulator* sim, int num_ports,
                                          Options options)
@@ -75,11 +92,17 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
   ScopedPacketReclaim reclaim(pkt);
   const Tick now = sim_->now();
 
-  // Classify: a frame that is not RoCE-shaped is a plain L2/L3 forward
-  // after the base latency.
+  // Classify: an IPv4 frame that is not RoCE-shaped is a plain L3 forward
+  // after the base latency. A frame that is not IPv4 (LLDP, MAC control and
+  // other link-local protocols) ends at the switch: counted, nothing
+  // scheduled.
   const auto view = parse_roce(pkt);
   if (!view) {
-    forward_after(options_.l2_pipeline_latency, std::move(pkt));
+    if (ipv4_destination(pkt)) {
+      forward_after(options_.l2_pipeline_latency, std::move(pkt));
+    } else {
+      ++non_ip_dropped_;
+    }
     return;
   }
   ++counters_.roce_rx;
@@ -352,19 +375,18 @@ void EventInjectorSwitch::forward_after(Tick delay, Packet pkt) {
 }
 
 void EventInjectorSwitch::forward(Packet pkt) {
+  // Only IPv4 frames are ever forwarded: RoCE by its parsed view, anything
+  // else by the IPv4 header.
   const auto view = parse_roce(pkt);
-  if (!view) {
-    LUMINA_LOG(kWarn) << "switch: dropping unroutable non-IP packet";
-    return;
-  }
-  const auto it = routes_.find(view->dst_ip);
+  const Ipv4Address dst = view ? view->dst_ip : *ipv4_destination(pkt);
+  const auto it = routes_.find(dst);
   if (it == routes_.end()) {
-    LUMINA_LOG(kWarn) << "switch: no route for " << view->dst_ip.to_string();
+    LUMINA_LOG(kWarn) << "switch: no route for " << dst.to_string();
     return;
   }
   Port& egress = port(it->second);
   // Congestion-driven ECN (extension): step marking at the egress queue.
-  if (options_.ecn_marking_threshold_bytes > 0 &&
+  if (options_.ecn_marking_threshold_bytes > 0 && view &&
       is_data_opcode(view->bth.opcode) &&
       egress.queued_bytes() > options_.ecn_marking_threshold_bytes) {
     set_ecn_ce(pkt);

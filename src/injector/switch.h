@@ -124,6 +124,9 @@ class EventInjectorSwitch : public Node {
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
   const SwitchRoceCounters& roce_counters() const { return counters_; }
+  /// Frames that are not IPv4 (LLDP, MAC control, ...), dropped at
+  /// classify: the switch routes IPv4 only.
+  std::uint64_t non_ip_dropped() const { return non_ip_dropped_; }
   const SwitchFaultStats& fault_stats() const { return fault_stats_; }
   const EventTable& event_table() const { return table_; }
   const IterTracker& iter_tracker() const { return iter_tracker_; }
@@ -197,6 +200,7 @@ class EventInjectorSwitch : public Node {
   IterTracker iter_tracker_;
   MirrorEngine mirror_;
   SwitchRoceCounters counters_;
+  std::uint64_t non_ip_dropped_ = 0;
 
   // Hot-path telemetry handles (null when no telemetry is attached).
   telemetry::TraceSink* trace_ = nullptr;

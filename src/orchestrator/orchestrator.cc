@@ -125,7 +125,7 @@ void Orchestrator::collect_results() {
   // records already in order are not touched.
   for (auto& dumper : testbed_->dumpers()) dumper->terminate();
   CaptureStore packets = std::move(testbed_->captures());
-  std::erase_if(packets, [](const TracePacket& p) { return !p.has_view; });
+  packets.erase_if([](const TracePacket& p) { return !p.has_view; });
   restore_mirror_order(packets);
   // Join the injector's delay-release log: analyzers that replay the trace
   // in receiver order (gbn_fsm) need to know when a delay-held packet
@@ -224,6 +224,9 @@ void Orchestrator::scrape_telemetry() {
   }
   if (fs.delays_applied != 0) {
     reg.counter("injector.delays_applied").inc(fs.delays_applied);
+  }
+  if (injector.non_ip_dropped() != 0) {
+    reg.counter("injector.non_ip_dropped").inc(injector.non_ip_dropped());
   }
   for (int p = 0; p < injector.num_ports(); ++p) {
     const PortCounters& pc = injector.port(p).counters();

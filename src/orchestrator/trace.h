@@ -42,7 +42,8 @@ struct IntegrityReport {
 bool restore_mirror_order(CaptureStore& records);
 
 struct PacketTrace {
-  std::vector<TracePacket> packets;  ///< Sorted by mirror sequence number.
+  /// The dumper pool's capture store, sorted by mirror sequence number.
+  CaptureStore packets;
 
   std::size_t size() const { return packets.size(); }
   const TracePacket& operator[](std::size_t i) const { return packets[i]; }

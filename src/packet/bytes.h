@@ -6,45 +6,48 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
-#include <vector>
 
 namespace lumina {
 
-class ByteWriter {
+/// Big-endian stores into a buffer the caller has already sized: no
+/// bounds checks and no reallocation, one store per field. The frame
+/// builder sizes its buffer once and writes every header through this.
+class ByteStore {
  public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit ByteStore(std::uint8_t* at) : p_(at) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { *p_++ = v; }
   void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    p_[0] = static_cast<std::uint8_t>(v >> 8);
+    p_[1] = static_cast<std::uint8_t>(v);
+    p_ += 2;
   }
   void u24(std::uint32_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 16));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    p_[0] = static_cast<std::uint8_t>(v >> 16);
+    p_[1] = static_cast<std::uint8_t>(v >> 8);
+    p_[2] = static_cast<std::uint8_t>(v);
+    p_ += 3;
   }
   void u32(std::uint32_t v) {
     u16(static_cast<std::uint16_t>(v >> 16));
     u16(static_cast<std::uint16_t>(v));
-  }
-  void u48(std::uint64_t v) {
-    u16(static_cast<std::uint16_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
   }
   void u64(std::uint64_t v) {
     u32(static_cast<std::uint32_t>(v >> 32));
     u32(static_cast<std::uint32_t>(v));
   }
   void raw(std::span<const std::uint8_t> bytes) {
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    std::memcpy(p_, bytes.data(), bytes.size());
+    p_ += bytes.size();
   }
 
-  std::size_t size() const { return out_.size(); }
+  /// The next byte to be written.
+  std::uint8_t* pos() const { return p_; }
 
  private:
-  std::vector<std::uint8_t>& out_;
+  std::uint8_t* p_;
 };
 
 class ByteReader {

@@ -7,10 +7,11 @@
 // so header-rewriting tricks (metadata embedding, ECN marking, MigReq
 // rewriting) behave exactly as they do on the Tofino.
 //
-// Each Packet carries a cached parse view (docs/packet.md): the first
-// parse_roce() populates it, later hops reuse it, and the in-place
-// mutators patch or invalidate exactly the fields they touch — so the
-// switch→RNIC→dumper chain decodes each frame once, not once per hop.
+// Each Packet carries a cached parse view (docs/packet.md): the builder
+// seeds it from the spec (or the first parse_roce() populates it), later
+// hops reuse it, and the in-place mutators patch or invalidate exactly the
+// fields they touch — so the switch→RNIC→dumper chain never decodes a
+// locally built frame.
 #pragma once
 
 #include <cstdint>
@@ -200,7 +201,11 @@ inline constexpr std::size_t kBthPsn = kBth + 9;
 
 inline constexpr std::uint16_t kRoceUdpPort = 4791;
 
-/// Builds a fully serialized frame (headers, payload pattern, iCRC).
+/// Builds a fully serialized frame (headers, payload pattern, iCRC) in one
+/// pass over a buffer sized once. The frame's parse view is seeded (kFull)
+/// from the spec when the spec's RETH/AETH/AtomicETH/AtomicAckETH presence
+/// is what parse_roce() expects for the opcode, so no hop decodes a locally
+/// built frame; any other spec leaves the view kUnknown.
 Packet build_roce_packet(const RocePacketSpec& spec);
 
 /// Parses a frame. Returns nullopt for anything that is not a well-formed

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "dumper/dumper.h"
 
@@ -139,6 +140,54 @@ TEST(Dumper, PoolMembersShareOneStore) {
   EXPECT_EQ(store[2].meta.mirror_seq, 2u);
   EXPECT_EQ(a.counters().captured, 2u);
   EXPECT_EQ(b.counters().captured, 1u);
+}
+
+TEST(CaptureStore, RecordsNeverMoveAndIndexAcrossChunks) {
+  // Enough records to fill every growing chunk and several capped ones.
+  const std::size_t n = 3 * CaptureStore::kMaxChunk + 5;
+  CaptureStore store;
+  std::vector<const TracePacket*> addresses;
+  for (std::size_t i = 0; i < n; ++i) {
+    TracePacket& record = store.emplace_back();
+    record.orig_len = i;
+    addresses.push_back(&record);
+  }
+  ASSERT_EQ(store.size(), n);
+  std::size_t i = 0;
+  for (const TracePacket& record : store) {
+    ASSERT_EQ(&record, addresses[i]) << "record " << i << " moved";
+    ASSERT_EQ(&store[i], addresses[i]) << "index " << i;
+    ASSERT_EQ(record.orig_len, i);
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+  EXPECT_EQ(&store.back(), addresses.back());
+
+  // erase_if keeps order and leaves records ahead of the first removal
+  // where they were.
+  const std::size_t first_removed = CaptureStore::kFirstChunk + 3;
+  const std::size_t removed = store.erase_if([&](const TracePacket& r) {
+    return r.orig_len >= first_removed && r.orig_len % 3 == 0;
+  });
+  EXPECT_EQ(store.size(), n - removed);
+  for (std::size_t k = 0; k < first_removed; ++k) {
+    EXPECT_EQ(&store[k], addresses[k]);
+  }
+  std::size_t prev = 0;
+  std::size_t count = 0;
+  for (const TracePacket& record : store) {
+    if (count++ > 0) {
+      EXPECT_GT(record.orig_len, prev);
+    }
+    EXPECT_TRUE(record.orig_len < first_removed || record.orig_len % 3 != 0);
+    prev = record.orig_len;
+  }
+  EXPECT_EQ(count, store.size());
+
+  CaptureStore empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.begin(), empty.end());
+  EXPECT_EQ(empty.erase_if([](const TracePacket&) { return true; }), 0u);
 }
 
 TEST(Dumper, SingleFlowWithoutRandomizationOverloadsOneCore) {

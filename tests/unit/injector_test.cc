@@ -689,7 +689,8 @@ enum class Probe {
   kIterNotReached,  ///< rule PSN in round 1 against an ITER-2 rule
   kOtherQpn,        ///< rule PSN on another QP of the same host pair
   kAckAtPsn,        ///< ACK carrying the rule's PSN (not injectable)
-  kNonRoce,         ///< non-IP frame, forwarded as plain L2
+  kNonRoce,         ///< non-IP frame (LLDP), dropped at classify
+  kIpv4NonUdp,      ///< IPv4 frame that is not UDP, routed by its header
 };
 
 enum class Mode { kEnforceDrops, kDropsNotEnforced, kInjectionOff };
@@ -703,6 +704,7 @@ const char* probe_name(Probe probe) {
     case Probe::kOtherQpn: return "other-qpn";
     case Probe::kAckAtPsn: return "ack-at-psn";
     case Probe::kNonRoce: return "non-roce";
+    case Probe::kIpv4NonUdp: return "ipv4-non-udp";
   }
   return "?";
 }
@@ -724,6 +726,22 @@ Packet probe_packet(Probe probe) {
     pkt.bytes.assign(64, 0);
     pkt.bytes[off::kEthType] = 0x88;  // LLDP ethertype
     pkt.bytes[off::kEthType + 1] = 0xcc;
+    return pkt;
+  }
+  if (probe == Probe::kIpv4NonUdp) {
+    // An ICMP echo to the flow's destination host.
+    Packet pkt;
+    pkt.bytes.assign(64, 0);
+    pkt.bytes[off::kEthType] = 0x08;
+    pkt.bytes[off::kIp] = 0x45;
+    pkt.bytes[off::kIp + 3] = 50;  // total length
+    pkt.bytes[off::kIpTtl] = 64;
+    pkt.bytes[off::kIp + 9] = 1;  // protocol ICMP
+    for (int i = 0; i < 4; ++i) {
+      pkt.bytes[off::kIpDst + i] =
+          static_cast<std::uint8_t>(kFlow.dst_ip.value >> (24 - 8 * i));
+    }
+    pkt.bytes[off::kUdp] = 8;  // echo request
     return pkt;
   }
   RocePacketSpec spec;
@@ -765,7 +783,7 @@ TEST(InjectorTableWalk, EveryRuleAndMissPath) {
   const Probe kProbes[] = {Probe::kHit,          Probe::kPsnBelow,
                            Probe::kPsnAbove,     Probe::kIterNotReached,
                            Probe::kOtherQpn,     Probe::kAckAtPsn,
-                           Probe::kNonRoce};
+                           Probe::kNonRoce,      Probe::kIpv4NonUdp};
   const Mode kModes[] = {Mode::kEnforceDrops, Mode::kDropsNotEnforced,
                          Mode::kInjectionOff};
 
@@ -800,9 +818,11 @@ TEST(InjectorTableWalk, EveryRuleAndMissPath) {
         }
         sw.install_rule(rule);
 
-        sw.handle_packet(0, probe_packet(probe));
+        const Packet probe_frame = probe_packet(probe);
+        sw.handle_packet(0, probe_frame);
 
-        const bool roce = probe != Probe::kNonRoce;
+        const bool roce =
+            probe != Probe::kNonRoce && probe != Probe::kIpv4NonUdp;
         const bool injecting = mode != Mode::kInjectionOff;
         const bool looked_up =
             injecting && roce && probe != Probe::kAckAtPsn;
@@ -826,11 +846,26 @@ TEST(InjectorTableWalk, EveryRuleAndMissPath) {
                   hit ? 1u : 0u);
         EXPECT_EQ(metrics.counter("injector.table_miss").value(),
                   looked_up && !hit ? 1u : 0u);
+        // A non-IP frame ends at classify: counted, nothing parked or
+        // scheduled.
+        EXPECT_EQ(sw.non_ip_dropped(), probe == Probe::kNonRoce ? 1u : 0u);
+        if (probe == Probe::kNonRoce) {
+          EXPECT_EQ(sw.parked(), 0u);
+          EXPECT_EQ(sim.pending_events(), 0u);
+        }
 
         sim.run();
+        if (probe == Probe::kIpv4NonUdp) {
+          // Routed by its IPv4 destination, bytes untouched, not mirrored.
+          ASSERT_EQ(host_b.packets.size(), 1u);
+          EXPECT_EQ(host_b.packets[0].bytes, probe_frame.bytes);
+          EXPECT_EQ(c.roce_tx, 0u);
+          EXPECT_TRUE(dumper.packets.empty());
+          EXPECT_EQ(sw.parked(), 0u);
+          continue;
+        }
         // A held reorder packet with no successor leaves on the flush
-        // timeout; every forwarded RoCE frame reaches host-b. The non-IP
-        // frame is unroutable at forward time.
+        // timeout; every forwarded RoCE frame reaches host-b.
         const std::uint64_t tx_final = tx_now + (held ? 1 : 0);
         EXPECT_EQ(c.roce_tx, tx_final);
         EXPECT_EQ(host_b.packets.size(), tx_final);

@@ -35,8 +35,16 @@ RoceView fresh_view(const Packet& pkt, bool allow_trimmed = false) {
   return view.value_or(RoceView{});
 }
 
+TEST(ViewCache, BuilderSeedsTheViewAFreshDecodeWouldProduce) {
+  const Packet pkt = build_roce_packet(base_spec());
+  EXPECT_EQ(pkt.view_state, ViewCacheState::kFull);
+  EXPECT_EQ(pkt.view, fresh_view(pkt));
+  EXPECT_EQ(parse_roce(pkt), fresh_view(pkt));
+}
+
 TEST(ViewCache, FirstParsePopulatesAndRepeatParsesServe) {
   Packet pkt = build_roce_packet(base_spec());
+  pkt.invalidate_view();  // as if the bytes had come off a wire
   EXPECT_EQ(pkt.view_state, ViewCacheState::kUnknown);
   const auto first = parse_roce(pkt);
   ASSERT_TRUE(first.has_value());
@@ -71,6 +79,7 @@ TEST(ViewCache, EveryMutatorAgreesWithFreshParse) {
 TEST(ViewCache, MutatorsBeforeFirstParseAlsoAgree) {
   // Mutating a never-parsed packet must not fabricate a cache entry.
   Packet pkt = build_roce_packet(base_spec());
+  pkt.invalidate_view();  // drop the builder's seed: nothing parsed yet
   set_ttl(pkt, 9);
   set_mig_req(pkt, false);
   EXPECT_EQ(pkt.view_state, ViewCacheState::kUnknown);
@@ -114,7 +123,10 @@ TEST(ViewCache, DirectByteWriteWithInvalidateRedecodes) {
 
 TEST(ViewCache, TrimmedFrameStatesTrackParseMode) {
   Packet pkt = build_roce_packet(base_spec());
-  pkt.bytes.resize(128);  // dumper-style trim of a never-parsed frame
+  // A direct trim of a never-parsed frame: a raw byte write, so the
+  // builder's seed must go.
+  pkt.bytes.resize(128);
+  pkt.invalidate_view();
   // Full parse fails and must not poison the trimmed mode.
   EXPECT_FALSE(parse_roce(pkt).has_value());
   EXPECT_EQ(pkt.view_state, ViewCacheState::kNotFull);
@@ -160,8 +172,8 @@ TEST(ViewCache, CopiesCarryTheCacheIndependently) {
 
 TEST(ViewCache, ArenaSlotReuseCannotServeStaleViews) {
   // The cache lives on the Packet, not on the buffer: a packet built from a
-  // recycled arena buffer starts kUnknown and decodes its own bytes, even
-  // though a differently-shaped packet parsed out of that slot earlier.
+  // recycled arena buffer carries a view of its own bytes, even though a
+  // differently-shaped packet parsed out of that slot earlier.
   PacketArena arena;
   PacketArena::Scope scope(&arena);
 
@@ -184,7 +196,7 @@ TEST(ViewCache, ArenaSlotReuseCannotServeStaleViews) {
   second_spec.psn = 0x000099;
   Packet second = build_roce_packet(second_spec);
   EXPECT_GE(arena.reused(), 1u);  // the slot actually recycled
-  EXPECT_EQ(second.view_state, ViewCacheState::kUnknown);
+  EXPECT_EQ(second.view, fresh_view(second));
   const auto view = parse_roce(second);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->bth.opcode, IbOpcode::kAcknowledge);
