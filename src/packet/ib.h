@@ -35,6 +35,19 @@ enum class IbOpcode : std::uint8_t {
   kCnp = 0x81,
 };
 
+/// Every modeled opcode, in enum order.
+inline constexpr IbOpcode kIbOpcodes[] = {
+    IbOpcode::kSendFirst,      IbOpcode::kSendMiddle,
+    IbOpcode::kSendLast,       IbOpcode::kSendOnly,
+    IbOpcode::kWriteFirst,     IbOpcode::kWriteMiddle,
+    IbOpcode::kWriteLast,      IbOpcode::kWriteOnly,
+    IbOpcode::kReadRequest,    IbOpcode::kReadRespFirst,
+    IbOpcode::kReadRespMiddle, IbOpcode::kReadRespLast,
+    IbOpcode::kReadRespOnly,   IbOpcode::kAcknowledge,
+    IbOpcode::kAtomicAck,      IbOpcode::kCmpSwap,
+    IbOpcode::kFetchAdd,       IbOpcode::kCnp,
+};
+
 std::string to_string(IbOpcode op);
 
 /// True for opcodes that carry message payload from requester or responder.
@@ -144,6 +157,31 @@ struct AtomicAckEth {
 
 constexpr bool is_atomic(IbOpcode op) {
   return op == IbOpcode::kCmpSwap || op == IbOpcode::kFetchAdd;
+}
+
+/// The extension headers that follow the BTH for an opcode, in wire order.
+/// The parser reads exactly these; a builder spec that carries exactly
+/// these gets a seeded parse view.
+struct ExtensionHeaders {
+  bool reth = false;
+  bool aeth = false;
+  bool atomic_eth = false;
+  bool atomic_ack_eth = false;
+
+  bool operator==(const ExtensionHeaders&) const = default;
+};
+
+constexpr ExtensionHeaders extension_headers(IbOpcode op) {
+  return ExtensionHeaders{
+      .reth = op == IbOpcode::kWriteFirst || op == IbOpcode::kWriteOnly ||
+              op == IbOpcode::kReadRequest,
+      .aeth = op == IbOpcode::kAcknowledge ||
+              op == IbOpcode::kReadRespFirst ||
+              op == IbOpcode::kReadRespLast ||
+              op == IbOpcode::kReadRespOnly || op == IbOpcode::kAtomicAck,
+      .atomic_eth = is_atomic(op),
+      .atomic_ack_eth = op == IbOpcode::kAtomicAck,
+  };
 }
 
 /// ACK Extended Transport Header (4 bytes) — ACK/NAK and read responses.
