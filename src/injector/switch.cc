@@ -85,7 +85,10 @@ void EventInjectorSwitch::attach_telemetry(telemetry::Telemetry* t) {
 // The order of the schedule_after calls below fixes event ids, which break
 // same-tick ties: the mirror send precedes the forward, a duplicate's
 // clone precedes the original, and a held reorder predecessor follows its
-// successor.
+// successor. A frame that leaves the pipeline as it came (no enforced
+// drop, reorder hold, duplicate or injected delay) takes one pipeline-exit
+// event that sends the mirror copy and then forwards the frame: the two
+// sends would otherwise be events at the same tick with adjacent ids.
 void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
   // Forward/mirror/reorder paths move the frame onward; an enforced drop
   // leaves its buffer behind for the arena.
@@ -127,6 +130,12 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
 
   const EventType event = action.type;
   const Tick event_delay = action.delay;
+  const bool drop =
+      (event == EventType::kDrop || burst_dropped) && options_.enforce_drops;
+  const bool hold = event == EventType::kReorder && is_data;
+  const bool mirror_tap = options_.enable_mirroring && mirror_.has_targets();
+  const bool one_exit = mirror_tap && !drop && !hold &&
+                        event != EventType::kDuplicate && event_delay == 0;
 
   // Transform, before mirroring so the mirrored copy reflects what was (or
   // would have been) forwarded.
@@ -147,7 +156,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
   // Mirror tap: always before anything can drop (§3.4). A packet lost to
   // an armed burst channel (no table match of its own) is mirrored with
   // kBurstLoss so the trace explains why it vanished.
-  if (options_.enable_mirroring && mirror_.has_targets()) {
+  if (mirror_tap) {
     const EventType mirror_event =
         burst_dropped && event == EventType::kNone ? EventType::kBurstLoss
                                                    : event;
@@ -161,11 +170,19 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
       delay_releases_[mirror_.mirrored_count() - 1] = now + event_delay;
       ++fault_stats_.delays_applied;
     }
-    sim_->schedule_after(base_latency,
-                         [this, slot = park(std::move(mirrored.clone)),
-                          out = mirrored.port_index] {
-                           port(out).send(unpark(slot));
-                         });
+    const std::uint32_t copy = park(std::move(mirrored.clone));
+    const int out = mirrored.port_index;
+    if (one_exit) {
+      sim_->schedule_after(base_latency,
+                           [this, copy, out, frame = park(std::move(pkt))] {
+                             port(out).send(unpark(copy));
+                             forward(unpark(frame));
+                           });
+    } else {
+      sim_->schedule_after(base_latency, [this, copy, out] {
+        port(out).send(unpark(copy));
+      });
+    }
   }
 
   // Emit: drop enforcement, reorder holds, duplication, the L3 forward.
@@ -173,7 +190,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
     telemetry::observe(m_added_latency_,
                        options_.event_stage_latency + event_delay);
   }
-  if ((event == EventType::kDrop || burst_dropped) && options_.enforce_drops) {
+  if (drop) {
     ++counters_.dropped_by_event;
     if (burst_dropped) ++fault_stats_.burst_loss_dropped;
     telemetry::trace_instant(trace_, "injector", "drop_enforced", now,
@@ -184,7 +201,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
 
   // §7 extension: hold the packet so it leaves AFTER its flow's next data
   // packet (adjacent-pair reordering).
-  if (event == EventType::kReorder && is_data) {
+  if (hold) {
     ReorderSlot slot;
     slot.pkt = std::move(pkt);
     // Safety valve: flush if no successor shows up (tail packet).
@@ -204,7 +221,7 @@ void EventInjectorSwitch::handle_packet(int in_port, Packet pkt) {
     ++fault_stats_.duplicates_emitted;
     forward_after(depart + 1, std::move(clone));
   }
-  forward_after(depart, std::move(pkt));
+  if (!one_exit) forward_after(depart, std::move(pkt));
   // A held (reordered) predecessor departs right behind this packet.
   if (is_data) {
     if (const auto it = reorder_slots_.find(flow); it != reorder_slots_.end()) {

@@ -1,5 +1,7 @@
 #include "net/node.h"
 
+#include <utility>
+
 #include "packet/packet_arena.h"
 
 namespace lumina {
@@ -18,6 +20,19 @@ void Port::send(Packet pkt) {
   counters_.max_queued_bytes =
       std::max(counters_.max_queued_bytes, queued_bytes_);
   queue_.push_back(std::move(pkt));
+  if (reserved_done_ != 0) {
+    const std::uint64_t done = std::exchange(reserved_done_, 0);
+    if (!sim_->passed(busy_until_, done)) {
+      // The wire is still busy: file the done so it starts this frame.
+      sim_->schedule_reserved(busy_until_, done,
+                              [this] { start_transmission(); });
+      return;
+    }
+    // The done has passed. Filed, it would have found the FIFO empty and
+    // let the wire go idle.
+    sim_->release_reserved(done);
+    transmitting_ = false;
+  }
   if (!transmitting_ && link_up_) start_transmission();
 }
 
@@ -64,7 +79,11 @@ void Port::start_transmission() {
   in_flight_.push_back(std::move(pkt));
   sim_->schedule_at(done + params_.propagation,
                     [this] { peer_->deliver(in_flight_.pop_front()); });
-  sim_->schedule_at(done, [this] { start_transmission(); });
+  if (!queue_.empty() || drained_cb_) {
+    sim_->schedule_at(done, [this] { start_transmission(); });
+  } else {
+    reserved_done_ = sim_->reserve_id();
+  }
 }
 
 void Port::deliver(Packet pkt) {

@@ -9,6 +9,12 @@
 // event: serialization is FIFO and propagation is constant, so arrivals
 // fire in send order and each delivery event (capturing only the port)
 // pops the head. Event closures never carry a Packet (docs/simulator.md).
+//
+// The tx-done event that ends a frame's serialization is filed only when it
+// has work: a frame waiting in the egress FIFO, or a drained listener to
+// tell (the RNIC's pump). Otherwise the port reserves the event's id, and
+// send() files it if a frame queues before the wire goes idle, so it fires
+// exactly where an eagerly scheduled done would have.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +84,8 @@ class Port {
   bool idle() const { return queue_.empty() && busy_until_ <= sim_->now(); }
 
   /// Invoked every time the egress queue fully drains (link went idle).
+  /// Attach it before the first send: a tx done reserved while no listener
+  /// was attached stays unfiled unless a frame queues behind it.
   void set_drained_callback(std::function<void()> cb) {
     drained_cb_ = std::move(cb);
   }
@@ -130,6 +138,9 @@ class Port {
   bool transmitting_ = false;
   bool link_up_ = true;
   Tick busy_until_ = 0;
+  /// Reserved id of the tx done at busy_until_, while it is not filed
+  /// (0 = none). Only held while the egress FIFO is empty.
+  std::uint64_t reserved_done_ = 0;
   PortCounters counters_;
   std::function<void()> drained_cb_;
 };

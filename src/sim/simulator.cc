@@ -18,13 +18,22 @@ Simulator::Simulator() { prev_log_clock_ = set_log_clock(&now_); }
 Simulator::~Simulator() { set_log_clock(prev_log_clock_); }
 
 std::uint64_t Simulator::schedule_at(Tick when, Callback cb) {
+  const std::uint64_t id = reserve_id();
+  schedule_reserved(when, id, std::move(cb));
+  return id;
+}
+
+std::uint64_t Simulator::reserve_id() {
   const std::uint64_t id = next_id_++;
   ids_.on_allocated(id);
+  return id;
+}
+
+void Simulator::schedule_reserved(Tick when, std::uint64_t id, Callback cb) {
   queue_.push(when < now_ ? now_ : when, id, std::move(cb));
   ++alive_;
   const std::size_t depth = queue_.size() + wheel_.stored();
   if (depth > max_queue_depth_) max_queue_depth_ = depth;
-  return id;
 }
 
 std::uint64_t Simulator::schedule_after(Tick delay, Callback cb) {
@@ -35,8 +44,7 @@ std::uint64_t Simulator::schedule_timer_at(Tick when, Callback cb) {
   if (timer_backend_ == TimerBackend::kCalendar) {
     return schedule_at(when, std::move(cb));
   }
-  const std::uint64_t id = next_id_++;
-  ids_.on_allocated(id);
+  const std::uint64_t id = reserve_id();
   wheel_.arm(when < now_ ? now_ : when, id, std::move(cb));
   ++alive_;
   const std::size_t depth = queue_.size() + wheel_.stored();
@@ -85,7 +93,8 @@ bool Simulator::locate_next(bool& timer_first, Tick& next_when) {
 }
 
 void Simulator::fire_due_timer() {
-  ids_.kill(wheel_.due_id());  // fired: cancel() becomes the no-op
+  firing_id_ = wheel_.due_id();
+  ids_.kill(firing_id_);  // fired: cancel() becomes the no-op
   --alive_;
   now_ = wheel_.due_when();
   ++processed_;
@@ -95,6 +104,7 @@ void Simulator::fire_due_timer() {
 
 void Simulator::fire_calendar_head() {
   const CalendarQueue::Key key = queue_.pop_min();
+  firing_id_ = key.id;
   ids_.kill(key.id);  // locate_next guaranteed the head is live
   --alive_;
   now_ = key.when;
@@ -121,6 +131,7 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && step()) {
   }
+  if (!stopped_) firing_id_ = next_id_ - 1;  // drained: all ids so far passed
 }
 
 void Simulator::run_until(Tick deadline) {
@@ -136,6 +147,9 @@ void Simulator::run_until(Tick deadline) {
       fire_calendar_head();
     }
   }
+  // Every event up to a deadline not behind the clock fired: every id
+  // allocated so far for a tick up to now() has passed.
+  if (!stopped_ && now_ <= deadline) firing_id_ = next_id_ - 1;
   if (now_ < deadline) now_ = deadline;
 }
 

@@ -80,8 +80,31 @@ class Simulator {
 
   /// Cancels a pending event. Cancelling an already-fired or unknown id is
   /// a no-op. O(1): the event's liveness bit flips and the slot is skipped
-  /// at pop time.
+  /// at pop time. A reserved id that is not filed yet is not pending: give
+  /// it up with release_reserved() instead.
   void cancel(std::uint64_t event_id);
+
+  /// Reserved events (docs/simulator.md, "Determinism contract"). An event
+  /// that may turn out to have nothing to do takes its id now and is filed
+  /// only once it has work. reserve_id() allocates the id an event
+  /// scheduled at this point would get. schedule_reserved() files the
+  /// event under that id; it then fires exactly where an event scheduled
+  /// at reservation time would have fired, provided it is filed before it
+  /// has passed. release_reserved() gives up an id that will never be
+  /// filed, as an event with nothing to do.
+  std::uint64_t reserve_id();
+  void schedule_reserved(Tick when, std::uint64_t id, Callback cb);
+  void release_reserved(std::uint64_t id) { ids_.kill(id); }
+
+  /// True when an event at (when, id) would already have fired: it orders
+  /// at or before the event now firing. Once run() drains or run_until()
+  /// reaches its deadline, every id allocated so far for a tick up to now()
+  /// has passed. A reserved event later than every filed one cannot be
+  /// told apart from one still to come; a Port's tx done always has its
+  /// frame's delivery filed at or after it.
+  bool passed(Tick when, std::uint64_t id) const {
+    return when < now_ || (when == now_ && id <= firing_id_);
+  }
 
   /// Runs until the event queue drains or `stop()` is called.
   void run();
@@ -93,6 +116,7 @@ class Simulator {
   /// Stops the run loop after the current callback returns.
   void stop() { stopped_ = true; }
 
+  /// Events fired. A reserved id counts only once it is filed and fires.
   std::uint64_t events_processed() const { return processed_; }
 
   /// Events scheduled but neither fired nor cancelled. Exact: cancelling an
@@ -119,6 +143,7 @@ class Simulator {
   bool stopped_ = false;
   const std::int64_t* prev_log_clock_ = nullptr;
   std::uint64_t next_id_ = 1;
+  std::uint64_t firing_id_ = 0;  ///< Id of the event now (or last) firing.
   std::uint64_t processed_ = 0;
   std::uint64_t cancel_requests_ = 0;
   std::size_t alive_ = 0;

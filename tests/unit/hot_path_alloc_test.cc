@@ -3,7 +3,9 @@
 // an allocation-free RNIC pump, and a capture path that writes each frame
 // once into the trace keep heap traffic inside Orchestrator::run() to a
 // small constant per wire packet, and heap bytes to a small constant per
-// captured frame.
+// captured frame. The same runs hold the event kernel's budget: fired
+// events per wire packet, which a kernel event that fires with nothing to
+// do raises (docs/simulator.md, "Events per frame").
 //
 // This binary replaces the global operator new/delete with a counting
 // version (the same shape as perfbench/alloc_count.cc); counting is on only
@@ -118,6 +120,7 @@ struct RunAllocs {
   std::uint64_t bytes = 0;
   std::uint64_t wire_packets = 0;  ///< Σ host tx_packets.
   std::uint64_t captured = 0;      ///< Σ dumper captures.
+  std::uint64_t events = 0;        ///< Kernel events fired.
 };
 
 /// Runs `orch` with allocation counting on around run() alone.
@@ -136,6 +139,7 @@ RunAllocs count_run(Orchestrator& orch) {
   for (const auto& dumper : orch.dumpers()) {
     out.captured += dumper->counters().captured;
   }
+  out.events = orch.sim().events_processed();
   EXPECT_TRUE(result.finished);
   EXPECT_TRUE(result.integrity.ok()) << result.integrity.to_string();
   return out;
@@ -165,6 +169,21 @@ void expect_bytes_bounded(const RunAllocs& run, double max_per_frame) {
   EXPECT_LE(per_frame, max_per_frame)
       << run.bytes << " heap bytes for " << run.captured
       << " captured frames";
+}
+
+/// Fired kernel events per wire packet. A Port files a frame's tx done
+/// only when a frame waits behind it or a drained listener (the RNIC's
+/// pump) is attached, and the switch sends a frame's mirror copy and
+/// forwards it from one pipeline-exit event. Measured 6.98 (loss-free
+/// Read) and 8.24 (ECN incast); filing every tx done and sending the
+/// mirror copy and the frame from separate events gave 9.00 and 10.04,
+/// and either one alone 7.98 / 9.24 or 8.00 / 9.04.
+void expect_events_bounded(const RunAllocs& run, double max_per_packet) {
+  const double per_packet = static_cast<double>(run.events) /
+                            static_cast<double>(run.wire_packets);
+  EXPECT_LE(per_packet, max_per_packet)
+      << run.events << " kernel events for " << run.wire_packets
+      << " wire packets";
 }
 
 TEST(HotPathAlloc, LossyTwoHostReadStaysWithinBudget) {
@@ -219,6 +238,7 @@ TEST(HotPathAlloc, LossFreeTwoHostReadStaysWithinBudget) {
   const RunAllocs run = count_run(orch);
   EXPECT_EQ(orch.result().switch_counters.dropped_by_event, 0u);
   expect_allocs_bounded(run);
+  expect_events_bounded(run, 7.1);
 }
 
 TEST(HotPathAlloc, EcnIncastStaysWithinBudget) {
@@ -247,6 +267,7 @@ TEST(HotPathAlloc, EcnIncastStaysWithinBudget) {
   EXPECT_GT(orch.result().switch_counters.ecn_marked_by_queue, 0u);
   expect_allocs_bounded(run);
   expect_bytes_bounded(run, 1792.0);
+  expect_events_bounded(run, 8.4);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Unit tests for the network substrate: ports, links, serialization and
 // propagation timing, egress queueing and drops, the in-flight FIFO under
-// zero-delay serialization and link flaps, and teardown with frames still
-// in flight or parked in the switch.
+// zero-delay serialization and link flaps, tx-done events filed only when
+// a frame waits (and in the order an always-filed done would take), and
+// teardown with frames still in flight or parked in the switch.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "injector/switch.h"
@@ -189,6 +191,126 @@ TEST_F(NetTest, ZeroSerializationFramesArriveInSendOrderOnOneTick) {
     EXPECT_EQ(b.arrivals[i].bytes, sent[i]) << "arrival " << i;
   }
   EXPECT_EQ(a.port().in_flight(), 0u);
+}
+
+TEST_F(NetTest, UncongestedPortFilesNoTxDoneEvent) {
+  // A frame that finds the wire idle and nothing behind it schedules its
+  // delivery alone: its tx done would find the FIFO empty.
+  connect(a.port(), b.port(), LinkParams{100.0, 100});
+  for (int i = 0; i < 3; ++i) {
+    a.port().send(make_packet(512));
+    EXPECT_EQ(sim.pending_events(), 1u);
+    sim.run();
+  }
+  ASSERT_EQ(b.arrivals.size(), 3u);
+  EXPECT_EQ(sim.events_processed(), 3u);
+  // A frame that queues behind a busy wire files the done that starts it.
+  const Packet pkt = make_packet(512);
+  const Tick start = sim.now();
+  const Tick ser = a.port().serialization_delay(pkt);
+  a.port().send(pkt);
+  a.port().send(pkt);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  ASSERT_EQ(b.arrivals.size(), 5u);
+  EXPECT_EQ(b.arrivals[3].when, start + ser + 100);
+  EXPECT_EQ(b.arrivals[4].when, start + 2 * ser + 100);
+  EXPECT_EQ(sim.events_processed(), 3u + 3u);  // 2 deliveries + 1 done
+}
+
+/// Logs arrivals and witness events in one sequence, so same-tick order
+/// between them shows.
+class LogNode : public Node {
+ public:
+  LogNode(Simulator* sim, std::vector<std::string>* log)
+      : sim_(sim), log_(log), port_(sim, this, 0) {}
+  void handle_packet(int, Packet pkt) override {
+    log_->push_back(std::to_string(sim_->now()) + " arrive " +
+                    std::to_string(pkt.size()));
+  }
+  std::string name() const override { return "log"; }
+  Port& port() { return port_; }
+
+ private:
+  Simulator* sim_;
+  std::vector<std::string>* log_;
+  Port port_;
+};
+
+TEST(NetOrder, SendAtBusyUntilMatchesEagerDone) {
+  // The first frame's tx done is reserved at busy_until() under the id it
+  // would have been scheduled with. A send at that tick from an event
+  // ordered before the done finds the wire busy: the frame queues and the
+  // done (now filed) starts it, after the event. From an event ordered
+  // after the done it finds the wire idle and starts at once. Either way
+  // it departs at busy_until(); which one shows in the id its delivery
+  // gets, so the sending event also schedules a witness for the frame's
+  // arrival tick. An always-filed done puts the witness before the arrival
+  // in the first case and after it in the second.
+  for (const bool before_done : {true, false}) {
+    SCOPED_TRACE(before_done ? "ordered before the done"
+                             : "ordered after the done");
+    Simulator sim;
+    std::vector<std::string> log;
+    LogNode a(&sim, &log);
+    LogNode b(&sim, &log);
+    connect(a.port(), b.port(), LinkParams{100.0, 100});
+    const Packet first = make_packet(1024);
+    const Packet second = make_packet(256);
+    const Tick end = a.port().serialization_delay(first);
+    const Tick arrival = end + a.port().serialization_delay(second) + 100;
+    const auto send_second = [&] {
+      EXPECT_EQ(a.port().busy_until(), end);
+      a.port().send(second);
+      sim.schedule_at(arrival, [&] {
+        log.push_back(std::to_string(sim.now()) + " witness");
+      });
+    };
+    if (before_done) sim.schedule_at(end, send_second);
+    a.port().send(first);
+    if (!before_done) sim.schedule_at(end, send_second);
+    sim.run();
+
+    const std::string at = std::to_string(arrival) + " ";
+    std::vector<std::string> want = {
+        std::to_string(end + 100) + " arrive " + std::to_string(first.size())};
+    if (before_done) {
+      want.push_back(at + "witness");
+      want.push_back(at + "arrive " + std::to_string(second.size()));
+    } else {
+      want.push_back(at + "arrive " + std::to_string(second.size()));
+      want.push_back(at + "witness");
+    }
+    EXPECT_EQ(log, want);
+    // The sending event, the witness and two deliveries, plus the first
+    // frame's done only when the second frame waited for it.
+    EXPECT_EQ(sim.events_processed(), before_done ? 5u : 4u);
+  }
+}
+
+TEST_F(NetTest, LinkFlapOverAReservedDoneHoldsTheNextFrame) {
+  // The link goes down while an uncongested frame serializes. A frame sent
+  // before that frame's done (which it files) or after it (which it
+  // releases) waits for the link either way.
+  for (const bool before_done : {true, false}) {
+    SCOPED_TRACE(before_done ? "sent before the done" : "sent after it");
+    Simulator sim;
+    SinkNode x{&sim};
+    SinkNode y{&sim};
+    connect(x.port(), y.port(), LinkParams{100.0, 100});
+    const Packet pkt = make_packet(512);
+    const Tick ser = x.port().serialization_delay(pkt);
+    x.port().send(pkt);
+    x.port().set_link_down(/*drop_queued=*/false);
+    sim.schedule_at(before_done ? ser / 2 : 2 * ser,
+                    [&] { x.port().send(pkt); });
+    const Tick up_at = 5 * ser;
+    sim.schedule_at(up_at, [&] { x.port().set_link_up(); });
+    sim.run();
+    ASSERT_EQ(y.arrivals.size(), 2u);
+    EXPECT_EQ(y.arrivals[0].when, ser + 100);
+    EXPECT_EQ(y.arrivals[1].when, up_at + ser + 100);
+  }
 }
 
 /// Sends three distinguishable frames back to back on a long link and runs

@@ -7,8 +7,9 @@
 // seeded-random scheduling workloads — schedule_at / schedule_after /
 // cancel (including cancel-of-fired, cancel-of-unknown, double-cancel),
 // same-tick ties, negative delays, nested scheduling from inside callbacks,
-// stop(), run_until() — as pure data scripts, executes each script against
-// both implementations, and asserts the observable behavior is identical.
+// stop(), run_until(), reserved ids filed or released later — as pure data
+// scripts, executes each script against both implementations, and asserts
+// the observable behavior is identical.
 //
 // Scripts are data (not closures) precisely so the same workload can drive
 // two different scheduler types through the same template executor.
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,13 +40,21 @@ enum class OpKind {
   kStop,           // stop() — callback-only
   kRun,            // run() — top-level only
   kRunUntil,       // run_until(tick) — top-level only
+  // Reserved ids. The reference scheduler schedules a reserved event
+  // eagerly; it does its work only if filed before it fires.
+  kReserve,  // schedule slot `target` (the anchor) at now + `tick` + `gap`,
+             // then reserve slot `slot` for now + `tick`
+  kFile,     // file reserved slot `target`, or release it if it has passed
+  kRelease,  // release reserved slot `target`
 };
 
 struct Op {
   OpKind kind;
   Tick tick = 0;
-  int slot = -1;    // slot defined by a schedule op
-  int target = -1;  // slot referenced by kCancelSlot
+  int slot = -1;    // slot defined by a schedule or reserve op
+  int target = -1;  // slot referenced by kCancelSlot, kFile, kRelease; the
+                    // anchor of kReserve
+  Tick gap = 0;     // kReserve: anchor's lead over the reserved tick
 };
 
 /// One workload: a top-level op sequence plus, per slot, the op sequence its
@@ -154,9 +164,104 @@ class ScriptGen {
   std::vector<int> slots_seen_;
 };
 
+/// Reserved-id workloads. Each reservation first schedules an anchor event
+/// at or after the reserved tick, the way a Port's tx done always has its
+/// frame's delivery filed at or after it, so a reserved event is never
+/// later than every filed one. Callbacks then file or release reserved
+/// slots, many of them at the reserved tick itself. No stop(): a
+/// run_until() cut short moves the clock past events that have not fired,
+/// where "passed" has no meaning.
+class ReservedScriptGen {
+ public:
+  explicit ReservedScriptGen(std::uint64_t seed) : rng_(seed) {}
+
+  Script generate() {
+    Script s;
+    const int top_ops = 8 + static_cast<int>(rng_() % 40);
+    for (int i = 0; i < top_ops; ++i) {
+      s.top.push_back(top_op(s));
+    }
+    s.top.push_back({OpKind::kRun});
+    return s;
+  }
+
+ private:
+  Op top_op(Script& s) {
+    switch (rng_() % 12) {
+      case 0:
+        return {OpKind::kRunUntil, static_cast<Tick>(rng_() % 64)};
+      case 1:
+        return {OpKind::kRun};
+      case 2:
+      case 3:
+        return settle_op();
+      default:
+        return rng_() % 2 == 0 ? reserve_op(s, 0) : schedule_op(s, 0);
+    }
+  }
+
+  void fill_body(Script& s, int slot, int depth) {
+    if (depth >= 3) return;
+    const int body_ops = static_cast<int>(rng_() % 5);
+    for (int i = 0; i < body_ops; ++i) {
+      // Materialize the op before indexing s.body (see ScriptGen).
+      Op op;
+      switch (rng_() % 5) {
+        case 0:
+        case 1:
+          op = settle_op();
+          break;
+        case 2:
+          op = reserve_op(s, depth + 1);
+          break;
+        default:
+          op = schedule_op(s, depth + 1);
+      }
+      s.body[static_cast<std::size_t>(slot)].push_back(op);
+    }
+  }
+
+  int new_slot(Script& s, int depth) {
+    const int slot = static_cast<int>(s.body.size());
+    s.body.emplace_back();
+    fill_body(s, slot, depth);
+    return slot;
+  }
+
+  Op schedule_op(Script& s, int depth) {
+    const int slot = new_slot(s, depth);
+    return {OpKind::kScheduleAfter, small_delay(), slot};
+  }
+
+  Op reserve_op(Script& s, int depth) {
+    const int slot = new_slot(s, depth);
+    const int anchor = new_slot(s, depth);
+    Op op{OpKind::kReserve, small_delay(), slot, anchor};
+    op.gap = rng_() % 3 == 0 ? 0 : small_delay();
+    reserved_.push_back(slot);
+    return op;
+  }
+
+  Op settle_op() {
+    if (reserved_.empty()) return {OpKind::kCancelRaw};
+    Op op{rng_() % 4 == 0 ? OpKind::kRelease : OpKind::kFile};
+    op.target = reserved_[rng_() % reserved_.size()];
+    return op;
+  }
+
+  Tick small_delay() {  // ties galore
+    return rng_() % 4 == 0 ? 0 : static_cast<Tick>(rng_() % 12);
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<int> reserved_;
+};
+
 // ---------------------------------------------------------------------------
 // Script executor (works for both scheduler types)
 // ---------------------------------------------------------------------------
+
+enum class Reserved { kNone, kHeld, kSettled };
 
 struct Observation {
   std::vector<std::pair<int, Tick>> firings;  // (slot, fire time) in order
@@ -166,13 +271,36 @@ struct Observation {
   std::size_t pending_events = 0;
   std::size_t max_queue_depth = 0;
   std::uint64_t cancel_requests = 0;
+
+  // Reserved slots: each kFile's outcome (slot, filed rather than passed)
+  // in order, and per slot its tick and state.
+  std::vector<std::pair<int, bool>> file_outcomes;
+  std::vector<Tick> whens;
+  std::vector<Reserved> reserved;
+  // Reference only: eager reserved events that fired, and the ones among
+  // them that had not been filed (no work: the lazy kernel never fires
+  // them).
+  std::vector<bool> fired;
+  std::vector<bool> filed;
+  std::uint64_t idle_fires = 0;
+  // Simulator only: kFile ops run from a callback for the callback's own
+  // tick, on a reserved id below (passed) and above (still to come) the
+  // firing event's.
+  int firing_slot = -1;
+  int same_tick_below = 0;
+  int same_tick_above = 0;
 };
 
 template <typename Scheduler>
 Observation execute(const Script& script) {
+  constexpr bool kLazy = std::is_same_v<Scheduler, Simulator>;
   Scheduler sched;
   Observation obs;
   obs.ids.assign(script.body.size(), 0);
+  obs.whens.assign(script.body.size(), 0);
+  obs.reserved.assign(script.body.size(), Reserved::kNone);
+  obs.fired.assign(script.body.size(), false);
+  obs.filed.assign(script.body.size(), false);
 
   struct Ctx {
     Scheduler& sched;
@@ -205,15 +333,77 @@ Observation execute(const Script& script) {
         case OpKind::kRunUntil:
           sched.run_until(op.tick);
           break;
+        case OpKind::kReserve:
+          reserve(op);
+          break;
+        case OpKind::kFile:
+          file(static_cast<std::size_t>(op.target));
+          break;
+        case OpKind::kRelease:
+          release(static_cast<std::size_t>(op.target));
+          break;
       }
+    }
+
+    void reserve(const Op& op) {
+      const auto slot = static_cast<std::size_t>(op.slot);
+      obs.ids[static_cast<std::size_t>(op.target)] =
+          sched.schedule_after(op.tick + op.gap, callback(op.target));
+      obs.whens[slot] = sched.now() + op.tick;
+      obs.reserved[slot] = Reserved::kHeld;
+      if constexpr (kLazy) {
+        obs.ids[slot] = sched.reserve_id();
+      } else {
+        obs.ids[slot] = sched.schedule_after(op.tick, [this, slot] {
+          obs.fired[slot] = true;
+          if (obs.filed[slot]) {
+            callback(static_cast<int>(slot))();
+          } else {
+            ++obs.idle_fires;
+          }
+        });
+      }
+    }
+
+    void file(std::size_t slot) {
+      if (obs.reserved[slot] != Reserved::kHeld) return;
+      obs.reserved[slot] = Reserved::kSettled;
+      bool filed = false;
+      if constexpr (kLazy) {
+        const std::uint64_t id = obs.ids[slot];
+        if (obs.firing_slot >= 0 && obs.whens[slot] == sched.now()) {
+          const std::uint64_t firing =
+              obs.ids[static_cast<std::size_t>(obs.firing_slot)];
+          ++(id < firing ? obs.same_tick_below : obs.same_tick_above);
+        }
+        filed = !sched.passed(obs.whens[slot], id);
+        if (filed) {
+          sched.schedule_reserved(obs.whens[slot], id,
+                                  callback(static_cast<int>(slot)));
+        } else {
+          sched.release_reserved(id);
+        }
+      } else {
+        filed = !obs.fired[slot];
+        obs.filed[slot] = filed;
+      }
+      obs.file_outcomes.emplace_back(static_cast<int>(slot), filed);
+    }
+
+    void release(std::size_t slot) {
+      if (obs.reserved[slot] != Reserved::kHeld) return;
+      obs.reserved[slot] = Reserved::kSettled;
+      if constexpr (kLazy) sched.release_reserved(obs.ids[slot]);
     }
 
     auto callback(int slot) {
       return [this, slot] {
         obs.firings.emplace_back(slot, sched.now());
+        const int outer = std::exchange(obs.firing_slot, slot);
         for (const Op& op : script.body[static_cast<std::size_t>(slot)]) {
           apply(op);
         }
+        obs.firing_slot = outer;
       };
     }
   };
@@ -457,6 +647,54 @@ TEST(SimDifferential, DepthWavesCrossResizeThresholds) {
     ASSERT_EQ(got.cancel_requests, want.cancel_requests) << "seed " << seed;
     ASSERT_GT(want.max_queue_depth, 257u) << "seed " << seed;
   }
+}
+
+
+// Reserved ids against eager scheduling: the Simulator files a reserved
+// id unless passed() puts it behind the firing event, and releases it
+// then; ReferenceScheduler schedules every reserved event at reservation
+// and lets it work only if it was filed before it fired. Firing order,
+// ids, clock and every file outcome agree, and the Simulator fires the
+// reference's events less the ones that fired with nothing to do.
+TEST(SimDifferential, ReservedIdsFireWhereEagerEventsWould) {
+  constexpr int kReservedWorkloads = 600;
+  int filed = 0;
+  int released_late = 0;
+  int same_tick_below = 0;
+  int same_tick_above = 0;
+  std::uint64_t idle_fires = 0;
+  for (int seed = 1; seed <= kReservedWorkloads; ++seed) {
+    ReservedScriptGen gen(static_cast<std::uint64_t>(seed) *
+                          0x2545f4914f6cdd1dULL);
+    const Script script = gen.generate();
+
+    const Observation got = execute<Simulator>(script);
+    const Observation want = execute<ReferenceScheduler>(script);
+
+    ASSERT_EQ(got.firings, want.firings) << "seed " << seed;
+    ASSERT_EQ(got.ids, want.ids) << "seed " << seed;
+    ASSERT_EQ(got.file_outcomes, want.file_outcomes) << "seed " << seed;
+    ASSERT_EQ(got.final_now, want.final_now) << "seed " << seed;
+    ASSERT_EQ(got.events_processed, want.events_processed - want.idle_fires)
+        << "seed " << seed;
+    ASSERT_EQ(got.pending_events, 0u) << "seed " << seed;
+    ASSERT_EQ(want.pending_events, 0u) << "seed " << seed;
+    ASSERT_EQ(got.cancel_requests, want.cancel_requests) << "seed " << seed;
+
+    for (const auto& [slot, was_filed] : want.file_outcomes) {
+      ++(was_filed ? filed : released_late);
+    }
+    same_tick_below += got.same_tick_below;
+    same_tick_above += got.same_tick_above;
+    idle_fires += want.idle_fires;
+  }
+  // Every outcome occurs often, including filing from a callback at the
+  // reserved tick on both sides of the firing event's id.
+  EXPECT_GT(filed, kReservedWorkloads);
+  EXPECT_GT(released_late, kReservedWorkloads);
+  EXPECT_GT(same_tick_below, 50);
+  EXPECT_GT(same_tick_above, 50);
+  EXPECT_GT(idle_fires, 2u * kReservedWorkloads);
 }
 
 }  // namespace
